@@ -3,8 +3,11 @@
 //	rexctl -servers 127.0.0.1:8000,127.0.0.1:8001,127.0.0.1:8002 \
 //	       -app lsmkv put mykey myvalue
 //	rexctl -servers ... -app lsmkv get mykey
-//	rexctl -servers ... -app lsmkv -query -replica 1 get mykey
+//	rexctl -servers ... -app lsmkv -query get mykey
 //	rexctl -servers ... -app lsmkv -level session get mykey
+//
+// A -query without -level reads at eventual consistency (any caught-up
+// replica may answer; primary-only queries go to the primary).
 //
 // Against a sharded cluster (rexd -shards N), -sharded fetches the shard
 // map and routes the command by key (default: the command's first
@@ -238,8 +241,7 @@ func main() {
 	servers := flag.String("servers", "", "comma-separated client addresses of the nodes")
 	appName := flag.String("app", "lsmkv", "application the cluster runs")
 	query := flag.Bool("query", false, "run as a read-only query instead of a replicated request")
-	replica := flag.Int("replica", 0, "replica to query (with -query; in-group index when sharded)")
-	levelName := flag.String("level", "", "consistency level for -query: linearizable|session|eventual (default: raw replica-local query)")
+	levelName := flag.String("level", "", "consistency level for -query: linearizable|session|eventual (default: eventual)")
 	sharded := flag.Bool("sharded", false, "fetch the shard map and route the command by key")
 	live := flag.Bool("live", false, "with -sharded: route through the live-rebalance envelope (rexd -rebalance)")
 	key := flag.String("key", "", "routing key with -sharded (default: the command's first argument)")
@@ -262,7 +264,7 @@ func main() {
 	cl := server.NewClient(id, addrs)
 	defer cl.Close()
 
-	var level readpath.Level
+	level := readpath.Eventual
 	if *levelName != "" {
 		var err error
 		if level, err = readpath.ParseLevel(*levelName); err != nil {
@@ -351,11 +353,7 @@ func main() {
 			k = args[1]
 		}
 		if *query {
-			if *levelName != "" {
-				resp, err = router.QueryLevel([]byte(k), level, body)
-			} else {
-				resp, err = router.Query([]byte(k), *replica, body)
-			}
+			resp, err = router.QueryLevel([]byte(k), level, body)
 		} else {
 			resp, err = router.Do([]byte(k), body)
 		}
@@ -367,11 +365,7 @@ func main() {
 	}
 
 	if *query {
-		if *levelName != "" {
-			resp, err = cl.QueryLevel(level, body)
-		} else {
-			resp, err = cl.Query(*replica, body)
-		}
+		resp, err = cl.QueryLevel(level, body)
 	} else {
 		resp, err = cl.Do(body)
 	}

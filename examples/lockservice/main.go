@@ -62,7 +62,7 @@ func main() {
 		// secondary (committed).
 		info := lockserver.InfoReq("/svc/leader")
 		readInfo := func(replica int) string {
-			resp, err := cl.Query(replica, info)
+			resp, err := c.Replica(replica).Query(info)
 			if err != nil {
 				return fmt.Sprintf("error: %v", err)
 			}

@@ -166,23 +166,17 @@ func (mc *MultiCluster) CrashGroupPrimary(g int) (int, error) {
 // Under LiveRebalance the router speaks the rebalance envelope: it
 // carries each request's range epoch, follows wrong-group/stale NACKs by
 // refetching the authoritative map from group 0 with jittered backoff,
-// and treats cluster.ErrPermanent as "reroute", transient errors as the
+// and treats client.ErrPermanent as "reroute", transient errors as the
 // caller's problem.
 func (mc *MultiCluster) NewRouter(idBase uint64) *shard.Router {
-	clients := make([]shard.GroupClient, mc.Map.Groups())
-	for g := range clients {
-		clients[g] = mc.Groups[g].NewClient(idBase + uint64(g))
-	}
-	r, err := shard.NewRouter(mc.Map, clients)
+	r, err := shard.NewRouter(mc.Map, mc.groupClients(idBase))
 	if err != nil {
 		panic(err) // impossible: one client per map group by construction
 	}
 	if mc.Live {
 		r.Map = mc.Map.Clone() // refetch must not swap the map under other routers
 		r.Enveloped = true
-		r.IsPermanent = IsPermanent
-		r.Sleep = mc.Env.Sleep
-		r.Now = mc.Env.Now
+		r.Clock = mc.Env
 		r.ClientID = idBase
 		fetch := mc.Groups[0].NewClient(idBase + uint64(mc.Map.Groups()))
 		r.Fetch = func() (*shard.ShardMap, error) { return FetchLiveMap(fetch) }
@@ -212,9 +206,14 @@ func FetchLiveMap(home *Client) (*shard.ShardMap, error) {
 // clients (ids idBase+group — space id ranges as for NewRouter). Only
 // valid under LiveRebalance.
 func (mc *MultiCluster) NewCoordinator(idBase uint64, reg *obs.Registry) *rebalance.Coordinator {
+	return &rebalance.Coordinator{Groups: mc.groupClients(idBase), Home: 0, Clock: mc.Env, Metrics: reg}
+}
+
+// groupClients returns a fresh client per group, with ids idBase+group.
+func (mc *MultiCluster) groupClients(idBase uint64) []shard.GroupClient {
 	clients := make([]shard.GroupClient, mc.Map.Groups())
 	for g := range clients {
 		clients[g] = mc.Groups[g].NewClient(idBase + uint64(g))
 	}
-	return &rebalance.Coordinator{Groups: clients, Home: 0, Clock: mc.Env, Metrics: reg}
+	return clients
 }

@@ -360,7 +360,7 @@ func TestQueryOnPrimaryAndSecondary(t *testing.T) {
 		}
 		// Query on the primary sees the write immediately (speculative
 		// state, already committed here since Do returned).
-		resp, err := cl.Query(p, []byte("get q"))
+		resp, err := c.Replica(p).Query([]byte("get q"))
 		if err != nil || string(resp) != "hello" {
 			t.Errorf("primary query = %q, %v", resp, err)
 		}
@@ -371,7 +371,7 @@ func TestQueryOnPrimaryAndSecondary(t *testing.T) {
 				continue
 			}
 			for {
-				resp, err := cl.Query(i, []byte("get q"))
+				resp, err := c.Replica(i).Query([]byte("get q"))
 				if err == nil && string(resp) == "hello" {
 					break
 				}

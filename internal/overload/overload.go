@@ -2,8 +2,7 @@
 // that are shared between the core replica, the TCP server, and the
 // clients: the typed shed/deadline errors that cross the wire, the
 // CoDel-style admission controller that decides *when* to shed, and
-// the encoding of the optional request-deadline wire field (protocol
-// v5).
+// the encoding of the optional request-deadline wire field.
 //
 // Design summary (DESIGN.md "Overload & admission control"):
 //
@@ -185,7 +184,7 @@ func (c *Controller) Pressure() int {
 	return PressureElevated
 }
 
-// --- Protocol v5 wire deadline field ---
+// --- Wire deadline field ---
 
 // MaxWireDeadline caps the deadline budget a frame may carry. Anything
 // larger is rejected as corrupt: a garbage trailing field must produce
@@ -212,7 +211,7 @@ func AppendWireDeadline(e *wire.Encoder, budget time.Duration) {
 }
 
 // DecodeWireDeadline reads the optional trailing deadline field. It
-// returns 0 when the frame carries none (v4 frames), the remaining
+// returns 0 when the frame carries none, the remaining
 // budget otherwise, and an error for truncated, oversized, or
 // otherwise garbage trailers.
 func DecodeWireDeadline(d *wire.Decoder) (time.Duration, error) {

@@ -3,27 +3,12 @@ package rebalance
 import (
 	"errors"
 	"fmt"
-	"time"
 
+	"rex/internal/client"
 	"rex/internal/obs"
 	"rex/internal/readpath"
 	"rex/internal/shard"
 )
-
-// Clock abstracts time for the coordinator; env.Env satisfies it, so the
-// coordinator paces warm rounds in virtual time inside the simulation
-// and in real time against a TCP deployment.
-type Clock interface {
-	Now() time.Duration
-	Sleep(d time.Duration)
-}
-
-// realClock is the default Clock for TCP deployments.
-type realClock struct{ base time.Time }
-
-func (c realClock) Now() time.Duration    { return time.Since(c.base) }
-func (c realClock) Sleep(d time.Duration) { time.Sleep(d) }
-func newRealClock() Clock                 { return realClock{base: time.Now()} }
 
 // ErrProposeConflict reports that another coordinator won the map CAS.
 var ErrProposeConflict = errors.New("rebalance: map version conflict (another change in flight)")
@@ -45,14 +30,16 @@ type Coordinator struct {
 	// loop exits early when the shipped delta stops shrinking — the
 	// catch-up lag bound.
 	WarmRounds int
-	Clock      Clock
-	Metrics    *obs.Registry
-	Logf       func(format string, args ...any)
+	// Clock paces warm rounds: env.Env in the simulation, real time (the
+	// default) against a TCP deployment.
+	Clock   client.Clock
+	Metrics *obs.Registry
+	Logf    func(format string, args ...any)
 }
 
-func (c *Coordinator) clock() Clock {
+func (c *Coordinator) clock() client.Clock {
 	if c.Clock == nil {
-		c.Clock = newRealClock()
+		c.Clock = client.RealClock()
 	}
 	return c.Clock
 }

@@ -1,38 +1,36 @@
 // Package server exposes Rex replicas to remote clients over a minimal
 // TCP protocol, used by cmd/rexd and cmd/rexctl. One server can host
-// several shard groups' replicas (one process, one listener).
+// several shard groups' replicas (one process, one listener). The client
+// side is the one client core (internal/client) over a TCP Conn.
 //
-// Request frame:  [4-byte len][1-byte kind][uvarint group][uvarint client][uvarint seq][body]
-// Response frame: [4-byte len][1-byte status][body]
+// Every frame is [4-byte big-endian length][payload]. A request payload is
 //
-// Kinds: 1 = submit (replicated), 2 = query (local read-only), 3 = fetch
-// the shard map (group/client/seq ignored), 4 = group status, 5 = propose
-// a membership change (body: op + ids + addr), 6 = fetch the group's
-// committed membership, 7 = leveled query (body: level byte + session
-// token + query; ok body: refreshed token + response), 8 = submit
-// returning a session token (ok body: token + response).
+//	[version][kind][uvarint group][uvarint client][uvarint seq][kind fields][uvarint deadline ms]?
 //
-// Protocol v4 (live rebalancing): on a rebalance-enabled node, kind 3
-// answers with the LIVE shard map read from group 0's replicated state —
-// not the static bootstrap map — so clients that get a wrong-group NACK
-// (a rebalance envelope reply carrying the newer map version, riding
-// inside an ordinary StatusOK body) can self-update. The frame layout is
-// unchanged; v3 clients still parse every frame.
+// and a response payload is [status][body]. A request whose version is
+// not Version is answered StatusFailed. The trailing deadline is optional:
+// the client's remaining budget, which the primary checks before
+// admitting a submit.
 //
-// Protocol v5 (overload protection): a request frame may carry one
-// OPTIONAL trailing field after the body — the client's remaining
-// deadline budget in milliseconds as a uvarint (overload.
-// AppendWireDeadline). v4 frames simply omit it, and v4 servers ignored
-// trailing bytes, so both directions interoperate. Two statuses were
-// added: 4 = overloaded (the request was shed before execution; body is
-// a uvarint retry-after hint in milliseconds) and 5 = deadline exceeded
-// (the propagated deadline expired before execution; body is a
-// message). Both guarantee the request did NOT execute.
-// Status: 0 = ok (body is the response), 1 = not primary (body is a
-// varint leader hint, -1 unknown), 2 = error (body is a message; the
-// request may succeed elsewhere or later), 3 = failed permanently (body
-// is a message; retrying cannot help), 4 = overloaded (retry after the
-// hinted delay), 5 = deadline exceeded (not executed; give up).
+//	kind             fields                                  ok body
+//	3 shard map      bytes (ignored)                         the map (live on a rebalance node)
+//	4 status         bytes (ignored)                         role, leader, applied, completed, outstanding
+//	5 reconfig       bytes: op, id, new id, addr             empty
+//	6 membership     bytes (ignored)                         the committed membership
+//	7 query          level, session token, bytes query       session token, bytes response
+//	8 submit         bytes request                           session token, bytes response
+//
+//	status           body                     meaning
+//	0 ok             see above
+//	1 not primary    varint leader (-1: none)  not executed; retry at the hint
+//	2 error          message                   retryable elsewhere or later (stopped, read waits, primary-only)
+//	3 failed         message                   permanent: retrying cannot help
+//	4 overloaded     uvarint retry-after ms    shed before execution; retry after the hint
+//	5 deadline       message                   the propagated deadline expired before execution
+//
+// errStatus is the one mapping of a replica error onto a status; the TCP
+// client's statusErr is its inverse, so the client core classifies a wire
+// answer exactly as it classifies the in-process error.
 //
 // Framing is defensive: an oversized length prefix gets an error response
 // and the connection is dropped (the stream cannot be resynced), and a
@@ -41,7 +39,6 @@
 package server
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -61,14 +58,14 @@ import (
 
 // Protocol constants.
 const (
-	KindSubmit      byte = 1
-	KindQuery       byte = 2
-	KindShardMap    byte = 3
-	KindStatus      byte = 4
-	KindReconfig    byte = 5
-	KindMembership  byte = 6
-	KindQueryLevel  byte = 7
-	KindSubmitToken byte = 8
+	Version byte = 6
+
+	KindShardMap   byte = 3
+	KindStatus     byte = 4
+	KindReconfig   byte = 5
+	KindMembership byte = 6
+	KindQuery      byte = 7
+	KindSubmit     byte = 8
 
 	StatusOK         byte = 0
 	StatusNotPrimary byte = 1
@@ -84,12 +81,6 @@ const (
 
 	maxFrame = 64 << 20
 )
-
-// ErrPermanent marks client errors that no retry can fix: the server
-// answered StatusFailed (stale sequence number, unknown group, a
-// membership change the current membership rejects), or the request
-// itself cannot be framed. Callers check with errors.Is.
-var ErrPermanent = errors.New("server: permanent failure")
 
 // frameBodyTimeout bounds how long a connection may dangle between a
 // frame's length prefix and its last body byte. A package variable so the
@@ -284,30 +275,22 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 func (s *Server) handle(frame []byte) (byte, []byte) {
-	d := wire.NewDecoder(frame)
-	kind := d.Byte()
-	group := d.Uvarint()
-	client := d.Uvarint()
-	seq := d.Uvarint()
-	body := d.BytesVal()
-	if d.Err() != nil {
-		return StatusError, []byte("malformed request")
-	}
-	// Protocol v5: the optional trailing deadline budget. A garbage
-	// trailer is a malformed frame, not a silently dropped field.
-	budget, err := overload.DecodeWireDeadline(d)
+	req, err := decodeRequest(frame)
 	if err != nil {
-		return StatusError, []byte(fmt.Sprintf("malformed request: %v", err))
+		if errors.Is(err, errVersion) {
+			return StatusFailed, []byte(err.Error())
+		}
+		return StatusError, []byte(err.Error())
 	}
-	if kind == KindShardMap {
+	if req.kind == KindShardMap {
 		if s.smap == nil {
 			return StatusError, []byte("server: not sharded (no shard map)")
 		}
-		// Protocol v4: a rebalance-enabled node hosting the map home
-		// serves the live map from replicated state; anything else (home
-		// group elsewhere, replica still catching up) falls back to the
-		// static bootstrap map — clients converge via NACK-driven
-		// refetches against a node that does host the home.
+		// A rebalance-enabled node hosting the map home serves the live
+		// map from replicated state; anything else (home group elsewhere,
+		// replica still catching up) falls back to the static bootstrap
+		// map — clients converge via NACK-driven refetches against a node
+		// that does host the home.
 		if s.live {
 			if rep := s.replicas[0]; rep != nil {
 				if m := liveMapFrom(rep); m != nil {
@@ -317,73 +300,32 @@ func (s *Server) handle(frame []byte) (byte, []byte) {
 		}
 		return StatusOK, s.smap.EncodeBytes()
 	}
-	rep := s.replicas[int(group)]
+	rep := s.replicas[req.group]
 	if rep == nil {
 		// Placement is static per map version: no retry against this node
 		// can ever find the group.
-		return StatusFailed, []byte(fmt.Sprintf("server: group %d not hosted here", group))
+		return StatusFailed, []byte(fmt.Sprintf("server: group %d not hosted here", req.group))
 	}
-	// The per-group in-flight budget guards the load-bearing kinds at
-	// the server edge: past it, NACK without doing any replica work.
-	switch kind {
-	case KindSubmit, KindSubmitToken, KindQuery, KindQueryLevel:
-		if !s.admitGroup(int(group)) {
+	switch req.kind {
+	case KindSubmit, KindQuery:
+		// The per-group in-flight budget guards the load-bearing kinds at
+		// the server edge: past it, NACK without doing any replica work.
+		if !s.admitGroup(req.group) {
 			return StatusOverloaded, overloadedBody(serverRetryAfter)
 		}
-		defer s.releaseGroup(int(group))
-	}
-	switch kind {
-	case KindSubmit:
-		resp, _, err := rep.SubmitTokenDeadline(client, seq, body, budget)
+		defer s.releaseGroup(req.group)
+		var resp []byte
+		var tok readpath.Token
+		if req.kind == KindSubmit {
+			resp, tok, err = rep.SubmitTokenDeadline(req.client, req.seq, req.body, req.budget)
+		} else {
+			resp, tok, err = rep.QueryLevel(req.level, req.token, req.body)
+		}
 		if err != nil {
-			return submitErrStatus(err)
+			return errStatus(err)
 		}
-		return StatusOK, resp
-	case KindSubmitToken:
-		resp, tok, err := rep.SubmitTokenDeadline(client, seq, body, budget)
-		if err != nil {
-			return submitErrStatus(err)
-		}
-		e := wire.NewEncoder(nil)
-		e.BytesVal(tok.EncodeBytes())
-		e.BytesVal(resp)
-		return StatusOK, e.Bytes()
-	case KindQuery:
-		resp, err := rep.Query(body)
-		if err != nil {
-			return StatusError, []byte(err.Error())
-		}
-		return StatusOK, resp
-	case KindQueryLevel:
-		d2 := wire.NewDecoder(body)
-		level := readpath.Level(d2.Byte())
-		tokB := d2.BytesVal()
-		q := d2.BytesVal()
-		if d2.Err() != nil {
-			return StatusFailed, []byte("malformed leveled query")
-		}
-		tok, err := readpath.DecodeTokenBytes(tokB)
-		if err != nil {
-			return StatusFailed, []byte(fmt.Sprintf("corrupt session token: %v", err))
-		}
-		resp, out, err := rep.QueryLevel(level, tok, q)
-		if err != nil {
-			var np core.ErrNotPrimary
-			if errors.As(err, &np) {
-				e := wire.NewEncoder(nil)
-				e.Varint(int64(np.Leader))
-				return StatusNotPrimary, e.Bytes()
-			}
-			if errors.Is(err, overload.ErrOverloaded) {
-				return StatusOverloaded, overloadedBody(overload.RetryAfter(err))
-			}
-			// readpath's routing errors (primary-only classification,
-			// frontier/lease waits) cross as their stable message strings;
-			// clients match them to pick the next replica.
-			return StatusError, []byte(err.Error())
-		}
-		e := wire.NewEncoder(nil)
-		e.BytesVal(out.EncodeBytes())
+		e := wire.NewEncoder(make([]byte, 0, 16+len(tok.Cut)*2+len(resp)))
+		tok.Encode(e)
 		e.BytesVal(resp)
 		return StatusOK, e.Bytes()
 	case KindStatus:
@@ -396,8 +338,8 @@ func (s *Server) handle(frame []byte) (byte, []byte) {
 		e.Uvarint(uint64(st.Outstanding))
 		return StatusOK, e.Bytes()
 	case KindReconfig:
-		return s.handleReconfig(rep, body)
-	case KindMembership:
+		return handleReconfig(rep, req.body)
+	default: // KindMembership
 		// A replica parked after its own removal still knows a membership,
 		// but a stale one — make the client ask a live member instead.
 		if rep.Role() == core.RoleRemoved {
@@ -405,7 +347,129 @@ func (s *Server) handle(frame []byte) (byte, []byte) {
 		}
 		return StatusOK, reconfig.EncodeValue(rep.Membership())
 	}
-	return StatusError, []byte(fmt.Sprintf("unknown request kind %d", kind))
+}
+
+// request is one decoded request frame.
+type request struct {
+	kind   byte
+	group  int
+	client uint64
+	seq    uint64
+	body   []byte         // the submit request, the query, or a reconfig body
+	level  readpath.Level // KindQuery
+	token  readpath.Token // KindQuery
+	budget time.Duration  // the propagated deadline, 0 for none
+}
+
+var errVersion = errors.New("server: unsupported protocol version")
+
+// decodeRequest parses and validates a request payload; only a request it
+// returns without error reaches a replica.
+func decodeRequest(frame []byte) (request, error) {
+	var req request
+	d := wire.NewDecoder(frame)
+	if v := d.Byte(); d.Err() == nil && v != Version {
+		return req, fmt.Errorf("%w %d (want %d)", errVersion, v, Version)
+	}
+	req.kind = d.Byte()
+	group := d.Uvarint()
+	req.client = d.Uvarint()
+	req.seq = d.Uvarint()
+	if d.Err() != nil {
+		return req, errors.New("malformed request")
+	}
+	if group > maxGroup {
+		return req, fmt.Errorf("malformed request: group %d", group)
+	}
+	req.group = int(group)
+	switch req.kind {
+	case KindQuery:
+		req.level = readpath.Level(d.Byte())
+		tok, err := readpath.DecodeToken(d)
+		req.token = tok
+		req.body = d.BytesVal()
+		if err != nil || d.Err() != nil {
+			return req, errors.New("malformed request: query fields")
+		}
+		if !req.level.Valid() {
+			return req, fmt.Errorf("malformed request: consistency level %d", uint8(req.level))
+		}
+	case KindSubmit, KindShardMap, KindStatus, KindReconfig, KindMembership:
+		req.body = d.BytesVal()
+		if d.Err() != nil {
+			return req, errors.New("malformed request")
+		}
+	default:
+		return req, fmt.Errorf("unknown request kind %d", req.kind)
+	}
+	budget, err := overload.DecodeWireDeadline(d)
+	if err != nil {
+		return req, fmt.Errorf("malformed request: %v", err)
+	}
+	req.budget = budget
+	return req, nil
+}
+
+// maxGroup bounds a decoded group id so it always fits an int.
+const maxGroup = 1 << 30
+
+// appendFrame appends req's frame, length prefix included, to buf.
+func (req request) appendFrame(buf []byte) []byte {
+	e := wire.NewEncoder(append(buf, 0, 0, 0, 0))
+	e.Byte(Version)
+	e.Byte(req.kind)
+	e.Uvarint(uint64(req.group))
+	e.Uvarint(req.client)
+	e.Uvarint(req.seq)
+	if req.kind == KindQuery {
+		e.Byte(byte(req.level))
+		req.token.Encode(e)
+	}
+	e.BytesVal(req.body)
+	overload.AppendWireDeadline(e, req.budget)
+	b := e.Bytes()
+	binary.BigEndian.PutUint32(b[len(buf):], uint32(len(b)-len(buf)-4))
+	return b
+}
+
+// errStatus is the one mapping of a replica error onto the wire.
+// Not-primary, shed and deadline NACKs each have a status; the errors in
+// retryable cross as StatusError with their exact message; anything else
+// — a stale sequence number, a rejected membership change, a read the
+// replica refuses — no retry can fix.
+func errStatus(err error) (byte, []byte) {
+	var np core.ErrNotPrimary
+	switch {
+	case errors.As(err, &np):
+		e := wire.NewEncoder(nil)
+		e.Varint(int64(np.Leader))
+		return StatusNotPrimary, e.Bytes()
+	case errors.Is(err, overload.ErrOverloaded):
+		// Both overload NACKs guarantee the request was never admitted
+		// into the trace: the client may safely retry (or discard the op
+		// from a linearizability history) without risking duplicate
+		// execution.
+		return StatusOverloaded, overloadedBody(overload.RetryAfter(err))
+	case errors.Is(err, overload.ErrDeadlineExceeded):
+		return StatusDeadline, []byte(overload.ErrDeadlineExceeded.Error())
+	}
+	for _, r := range retryable {
+		if errors.Is(err, r) {
+			return StatusError, []byte(r.Error())
+		}
+	}
+	return StatusFailed, []byte(err.Error())
+}
+
+// retryable are the errors another replica, or the same one later, can
+// get past: a stopped or demoted replica, a membership change still in
+// flight, and the read path's routing errors.
+var retryable = []error{
+	core.ErrStopped,
+	core.ErrReconfigInFlight,
+	readpath.ErrPrimaryOnly,
+	readpath.ErrFrontierWait,
+	readpath.ErrLeaseWait,
 }
 
 // liveMapFrom reads the live shard map from the map home replica's local
@@ -427,62 +491,17 @@ func liveMapFrom(rep *core.Replica) *shard.ShardMap {
 	return m
 }
 
-// submitErrStatus maps a Submit/SubmitToken error onto the wire.
-func submitErrStatus(err error) (byte, []byte) {
-	var np core.ErrNotPrimary
-	if errors.As(err, &np) {
-		e := wire.NewEncoder(nil)
-		e.Varint(int64(np.Leader))
-		return StatusNotPrimary, e.Bytes()
-	}
-	if errors.Is(err, core.ErrStaleSeq) {
-		// The primary's dedup table has moved past this sequence
-		// number; no replica will ever accept it again.
-		return StatusFailed, []byte(err.Error())
-	}
-	// Both overload NACKs guarantee the request was never admitted into
-	// the trace: the client may safely retry (or discard the op from a
-	// linearizability history) without risking duplicate execution.
-	if errors.Is(err, overload.ErrOverloaded) {
-		return StatusOverloaded, overloadedBody(overload.RetryAfter(err))
-	}
-	if errors.Is(err, overload.ErrDeadlineExceeded) {
-		return StatusDeadline, []byte(err.Error())
-	}
-	return StatusError, []byte(err.Error())
-}
-
-// overloadedBody encodes a StatusOverloaded response body: the uvarint
-// retry-after hint in milliseconds (rounded up, minimum 1ms).
+// overloadedBody encodes a StatusOverloaded body: the uvarint
+// retry-after hint in milliseconds, rounded up; 0 means no estimate.
 func overloadedBody(ra time.Duration) []byte {
-	if ra <= 0 {
-		ra = serverRetryAfter
+	var ms uint64
+	if ra > 0 {
+		ms = uint64((ra + time.Millisecond - 1) / time.Millisecond)
 	}
-	ms := uint64((ra + time.Millisecond - 1) / time.Millisecond)
-	if ms == 0 {
-		ms = 1
-	}
-	e := wire.NewEncoder(nil)
-	e.Uvarint(ms)
-	return e.Bytes()
+	return binary.AppendUvarint(nil, ms)
 }
 
-// decodeRetryAfter parses a StatusOverloaded body; a malformed body
-// degrades to the server's default hint rather than an error — the
-// status byte alone already carries the decision that matters.
-func decodeRetryAfter(b []byte) time.Duration {
-	d := wire.NewDecoder(b)
-	ms := d.Uvarint()
-	if d.Err() != nil || ms == 0 {
-		return serverRetryAfter
-	}
-	if ms > uint64(overload.MaxWireDeadline/time.Millisecond) {
-		return serverRetryAfter
-	}
-	return time.Duration(ms) * time.Millisecond
-}
-
-func (s *Server) handleReconfig(rep *core.Replica, body []byte) (byte, []byte) {
+func handleReconfig(rep *core.Replica, body []byte) (byte, []byte) {
 	d := wire.NewDecoder(body)
 	op := d.Byte()
 	id := int(d.Uvarint())
@@ -503,21 +522,7 @@ func (s *Server) handleReconfig(rep *core.Replica, body []byte) (byte, []byte) {
 		return StatusFailed, []byte(fmt.Sprintf("unknown reconfig op %d", op))
 	}
 	if err != nil {
-		var np core.ErrNotPrimary
-		switch {
-		case errors.As(err, &np):
-			e := wire.NewEncoder(nil)
-			e.Varint(int64(np.Leader))
-			return StatusNotPrimary, e.Bytes()
-		case errors.Is(err, core.ErrReconfigInFlight), errors.Is(err, core.ErrStopped):
-			// Transient: the in-flight change commits, or another replica
-			// takes over; the same request can succeed on a later attempt.
-			return StatusError, []byte(err.Error())
-		default:
-			// Membership validation rejections (already a member, not a
-			// member, would drop below quorum) don't change on retry.
-			return StatusFailed, []byte(err.Error())
-		}
+		return errStatus(err)
 	}
 	return StatusOK, nil
 }
@@ -589,529 +594,4 @@ func writeFrame(w io.Writer, status byte, body []byte) error {
 	}
 	_, err := w.Write(body)
 	return err
-}
-
-// Client talks to one replica group's client ports. It maintains a
-// session (readpath.SessionState): every write and session read folds the
-// response token into it, so session-level reads are read-your-writes and
-// monotonic across replicas.
-type Client struct {
-	addrs  []string
-	id     uint64
-	group  int
-	seq    uint64
-	mu     sync.Mutex
-	conns  map[int]net.Conn
-	target int
-	sess   readpath.SessionState
-	readRR int // rotation cursor for follower reads
-}
-
-// NewClient creates a client for an unsharded deployment (group 0) with a
-// unique id over the given client addresses (one per replica, in
-// replica-id order).
-func NewClient(id uint64, addrs []string) *Client {
-	return NewGroupClient(id, 0, addrs)
-}
-
-// NewGroupClient creates a client bound to one shard group. addrs are the
-// client addresses of the group's replicas in replica-id order (for a
-// sharded deployment: the nodes in the map's placement row).
-func NewGroupClient(id uint64, group int, addrs []string) *Client {
-	return &Client{addrs: addrs, id: id, group: group, conns: make(map[int]net.Conn)}
-}
-
-func (c *Client) conn(i int) (net.Conn, error) {
-	if conn, ok := c.conns[i]; ok {
-		return conn, nil
-	}
-	conn, err := net.Dial("tcp", c.addrs[i])
-	if err != nil {
-		return nil, err
-	}
-	c.conns[i] = conn
-	return conn, nil
-}
-
-func (c *Client) roundTrip(ctx context.Context, i int, kind byte, seq uint64, body []byte) (byte, []byte, error) {
-	e := wire.NewEncoder(nil)
-	e.Byte(kind)
-	e.Uvarint(uint64(c.group))
-	e.Uvarint(c.id)
-	e.Uvarint(seq)
-	e.BytesVal(body)
-	// Protocol v5 deadline propagation: a ctx deadline rides along so
-	// every hop can fail fast instead of doing doomed work.
-	if d, ok := ctx.Deadline(); ok {
-		overload.AppendWireDeadline(e, time.Until(d))
-	}
-	frame := e.Bytes()
-	if len(frame) > maxFrame {
-		// The server would refuse the length prefix and drop the
-		// connection; fail before poisoning the stream.
-		return 0, nil, fmt.Errorf("%w: request frame of %d bytes exceeds the %d-byte limit",
-			ErrPermanent, len(frame), maxFrame)
-	}
-	conn, err := c.conn(i)
-	if err != nil {
-		return 0, nil, err
-	}
-	var dl time.Time
-	if d, ok := ctx.Deadline(); ok {
-		dl = d
-	}
-	conn.SetWriteDeadline(dl)
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		conn.Close()
-		delete(c.conns, i)
-		return 0, nil, err
-	}
-	if _, err := conn.Write(frame); err != nil {
-		conn.Close()
-		delete(c.conns, i)
-		return 0, nil, err
-	}
-	resp, err := readFrameDeadline(conn, dl)
-	if err != nil || len(resp) < 1 {
-		conn.Close()
-		delete(c.conns, i)
-		if err == nil {
-			err = errors.New("server: empty response")
-		}
-		return 0, nil, err
-	}
-	return resp[0], resp[1:], nil
-}
-
-// Do submits a replicated request to the client's group, following
-// not-primary redirects.
-func (c *Client) Do(body []byte) ([]byte, error) {
-	return c.DoCtx(context.Background(), body)
-}
-
-// DoCtx is Do honoring ctx: cancellation aborts the retry loop between
-// attempts, and a ctx deadline also bounds each attempt's network I/O.
-// A StatusFailed answer (or an unframeable request) returns an error
-// wrapping ErrPermanent immediately, with no further retries. Successful
-// writes fold the returned session token into the client's session.
-func (c *Client) DoCtx(ctx context.Context, body []byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seq++
-	seq := c.seq
-	tried := 0
-	var lastErr error
-	for tried < 4*len(c.addrs) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		i := c.target % len(c.addrs)
-		status, resp, err := c.roundTrip(ctx, i, KindSubmitToken, seq, body)
-		if err != nil {
-			if errors.Is(err, ErrPermanent) {
-				return nil, err
-			}
-			c.target++
-			tried++
-			continue
-		}
-		switch status {
-		case StatusOK:
-			out, tok, err := decodeTokenResp(resp)
-			if err != nil {
-				return nil, err
-			}
-			c.sess.Observe(tok)
-			return out, nil
-		case StatusNotPrimary:
-			d := wire.NewDecoder(resp)
-			leader := d.Varint()
-			if d.Err() == nil && leader >= 0 {
-				c.target = int(leader)
-			} else {
-				c.target++
-			}
-			tried++
-		case StatusFailed:
-			return nil, fmt.Errorf("%w: %s", ErrPermanent, resp)
-		case StatusOverloaded:
-			// The primary shed the write before admission; honor its
-			// retry-after hint (capped — the loop, not the hint, owns the
-			// overall retry policy) and try the same target again.
-			ra := decodeRetryAfter(resp)
-			lastErr = overload.Shed{RetryAfter: ra}
-			if !sleepCtx(ctx, minDuration(ra, maxClientRetryPause)) {
-				return nil, ctx.Err()
-			}
-			tried++
-		case StatusDeadline:
-			// The budget we stamped ran out server-side before admission:
-			// retrying is exactly the doomed work deadlines exist to avoid.
-			return nil, overload.ErrDeadlineExceeded
-		default:
-			c.target++
-			tried++
-		}
-	}
-	if lastErr != nil {
-		return nil, lastErr
-	}
-	return nil, errors.New("server: no replica accepted the request")
-}
-
-// maxClientRetryPause caps how long a client sleeps on a server
-// retry-after hint: the hint shapes the pause, the retry loop bounds it.
-const maxClientRetryPause = 50 * time.Millisecond
-
-func minDuration(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// sleepCtx sleeps for d or until ctx is done; false means ctx fired.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// decodeTokenResp splits a token-carrying OK body into response and token.
-func decodeTokenResp(b []byte) ([]byte, readpath.Token, error) {
-	d := wire.NewDecoder(b)
-	tokB := d.BytesVal()
-	resp := d.BytesVal()
-	if d.Err() != nil {
-		return nil, readpath.Token{}, fmt.Errorf("server: malformed token response: %w", d.Err())
-	}
-	tok, err := readpath.DecodeTokenBytes(tokB)
-	if err != nil {
-		return nil, readpath.Token{}, err
-	}
-	return resp, tok, nil
-}
-
-// Query runs a read-only query, preferring the group's replica i but
-// failing over to the others on connection failure or a transient error
-// (a stopped or rebuilding replica), with the same classification Do
-// gives writes.
-func (c *Client) Query(i int, body []byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt < 2*len(c.addrs); attempt++ {
-		target := (i + attempt) % len(c.addrs)
-		status, resp, err := c.roundTrip(context.Background(), target, KindQuery, 0, body)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		switch status {
-		case StatusOK:
-			return resp, nil
-		case StatusFailed:
-			return nil, fmt.Errorf("%w: %s", ErrPermanent, resp)
-		default:
-			lastErr = fmt.Errorf("server: query failed: %s", resp)
-		}
-	}
-	return nil, lastErr
-}
-
-// QueryLevel runs a read at the given consistency level. Linearizable
-// reads chase the primary exactly like writes do; session and eventual
-// reads rotate over the other replicas (the likely secondaries) first and
-// fall back to the primary when a query is classified primary-only.
-// Session reads carry and refresh the client's session token.
-func (c *Client) QueryLevel(level readpath.Level, q []byte) ([]byte, error) {
-	return c.QueryLevelCtx(context.Background(), level, q)
-}
-
-// QueryLevelCtx is QueryLevel honoring ctx between attempts.
-func (c *Client) QueryLevelCtx(ctx context.Context, level readpath.Level, q []byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !level.Valid() {
-		return nil, fmt.Errorf("%w: invalid consistency level %d", ErrPermanent, uint8(level))
-	}
-	var lastErr error
-	toPrimary := level == readpath.Linearizable
-	tried := 0
-	for tried < 4*len(c.addrs) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var i int
-		if toPrimary {
-			i = c.target % len(c.addrs)
-		} else {
-			// Rotate away from the believed primary so follower-capable
-			// reads land on secondaries and scale with the replica count.
-			c.readRR++
-			i = (c.target + 1 + c.readRR) % len(c.addrs)
-			if len(c.addrs) == 1 {
-				i = 0
-			}
-		}
-		var tok readpath.Token
-		if level == readpath.Session {
-			tok = c.sess.Token()
-		}
-		e := wire.NewEncoder(nil)
-		e.Byte(byte(level))
-		e.BytesVal(tok.EncodeBytes())
-		e.BytesVal(q)
-		status, resp, err := c.roundTrip(ctx, i, KindQueryLevel, 0, e.Bytes())
-		if err != nil {
-			if errors.Is(err, ErrPermanent) {
-				return nil, err
-			}
-			lastErr = err
-			tried++
-			continue
-		}
-		switch status {
-		case StatusOK:
-			out, newTok, err := decodeTokenResp(resp)
-			if err != nil {
-				return nil, err
-			}
-			c.sess.Observe(newTok)
-			return out, nil
-		case StatusNotPrimary:
-			d := wire.NewDecoder(resp)
-			leader := d.Varint()
-			if d.Err() == nil && leader >= 0 {
-				c.target = int(leader)
-			} else {
-				c.target++
-			}
-			toPrimary = true
-			tried++
-		case StatusFailed:
-			return nil, fmt.Errorf("%w: %s", ErrPermanent, resp)
-		case StatusOverloaded:
-			// Shed read: pause per the hint, then rotate — under elevated
-			// pressure another replica may still serve a weak read even
-			// though this one shed it.
-			ra := decodeRetryAfter(resp)
-			lastErr = overload.Shed{RetryAfter: ra}
-			if !sleepCtx(ctx, minDuration(ra, maxClientRetryPause)) {
-				return nil, ctx.Err()
-			}
-			tried++
-		case StatusDeadline:
-			return nil, overload.ErrDeadlineExceeded
-		default:
-			if string(resp) == readpath.ErrPrimaryOnly.Error() {
-				// Classified primary-only: stop probing secondaries.
-				toPrimary = true
-			}
-			lastErr = fmt.Errorf("server: query failed: %s", resp)
-			tried++
-		}
-	}
-	if lastErr == nil {
-		lastErr = errors.New("server: no replica served the read")
-	}
-	return nil, lastErr
-}
-
-// Status fetches the group's status from replica i.
-func (c *Client) Status(i int) (GroupStatus, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	status, resp, err := c.roundTrip(context.Background(), i, KindStatus, 0, nil)
-	if err != nil {
-		return GroupStatus{}, err
-	}
-	if status != StatusOK {
-		return GroupStatus{}, fmt.Errorf("server: status failed: %s", resp)
-	}
-	return decodeGroupStatus(resp)
-}
-
-// Membership fetches the group's committed membership from replica i.
-func (c *Client) Membership(i int) (reconfig.Membership, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	status, resp, err := c.roundTrip(context.Background(), i, KindMembership, 0, nil)
-	if err != nil {
-		return reconfig.Membership{}, err
-	}
-	if status != StatusOK {
-		return reconfig.Membership{}, fmt.Errorf("server: membership fetch failed: %s", resp)
-	}
-	return reconfig.DecodeValue(resp)
-}
-
-// AddMember asks the group's primary to admit a new replica (it joins as
-// a learner and is promoted once caught up). addr is its paxos address in
-// a TCP deployment; empty for in-process transports.
-func (c *Client) AddMember(id int, addr string) error {
-	return c.reconfigOp(ReconfigAdd, id, 0, addr)
-}
-
-// RemoveMember asks the group's primary to retire a replica.
-func (c *Client) RemoveMember(id int) error {
-	return c.reconfigOp(ReconfigRemove, id, 0, "")
-}
-
-// ReplaceMember atomically swaps oldID out and admits newID in one
-// committed membership change.
-func (c *Client) ReplaceMember(oldID, newID int, addr string) error {
-	return c.reconfigOp(ReconfigReplace, oldID, newID, addr)
-}
-
-func (c *Client) reconfigOp(op byte, id, newID int, addr string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := wire.NewEncoder(nil)
-	e.Byte(op)
-	e.Uvarint(uint64(id))
-	e.Uvarint(uint64(newID))
-	e.BytesVal([]byte(addr))
-	body := e.Bytes()
-	tried := 0
-	for tried < 4*len(c.addrs) {
-		i := c.target % len(c.addrs)
-		status, resp, err := c.roundTrip(context.Background(), i, KindReconfig, 0, body)
-		if err != nil {
-			c.target++
-			tried++
-			continue
-		}
-		switch status {
-		case StatusOK:
-			return nil
-		case StatusNotPrimary:
-			d := wire.NewDecoder(resp)
-			leader := d.Varint()
-			if d.Err() == nil && leader >= 0 {
-				c.target = int(leader)
-			} else {
-				c.target++
-			}
-			tried++
-		case StatusFailed:
-			return fmt.Errorf("%w: %s", ErrPermanent, resp)
-		default:
-			// Transient: a change already in flight, or a stopped/removed
-			// replica. Give it a moment, then move on — if the change is
-			// in flight on the primary the next server's redirect sends us
-			// straight back, while a parked removed replica would answer
-			// this way forever.
-			time.Sleep(50 * time.Millisecond)
-			c.target++
-			tried++
-		}
-	}
-	return errors.New("server: reconfiguration not accepted")
-}
-
-// FetchShardMap asks the replica at i for the deployment's shard map.
-func (c *Client) FetchShardMap(i int) (*shard.ShardMap, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	status, resp, err := c.roundTrip(context.Background(), i, KindShardMap, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != StatusOK {
-		return nil, fmt.Errorf("server: shard map fetch failed: %s", resp)
-	}
-	return shard.DecodeShardMapBytes(resp)
-}
-
-// Close closes all connections.
-func (c *Client) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, conn := range c.conns {
-		conn.Close()
-	}
-	c.conns = make(map[int]net.Conn)
-}
-
-// NewShardRouter builds a keyed router over a sharded deployment:
-// nodeAddrs maps node id → that process's client address, and each
-// group's client follows that group's placement row. Client ids are
-// idBase+group.
-func NewShardRouter(idBase uint64, m *shard.ShardMap, nodeAddrs []string) (*shard.Router, error) {
-	if len(nodeAddrs) != m.Nodes {
-		return nil, fmt.Errorf("server: %d node addresses for a %d-node map", len(nodeAddrs), m.Nodes)
-	}
-	clients := make([]shard.GroupClient, m.Groups())
-	for g := range clients {
-		addrs := make([]string, m.Replicas(g))
-		for r := range addrs {
-			addrs[r] = nodeAddrs[m.Placement[g][r]]
-		}
-		clients[g] = NewGroupClient(idBase+uint64(g), g, addrs)
-	}
-	return shard.NewRouter(m, clients)
-}
-
-// NewCoordinator returns a rebalance coordinator over per-group clients
-// of a rebalance-enabled deployment (client ids idBase+group, each
-// following its group's placement row).
-func NewCoordinator(idBase uint64, m *shard.ShardMap, nodeAddrs []string) (*rebalance.Coordinator, error) {
-	if len(nodeAddrs) != m.Nodes {
-		return nil, fmt.Errorf("server: %d node addresses for a %d-node map", len(nodeAddrs), m.Nodes)
-	}
-	clients := make([]shard.GroupClient, m.Groups())
-	for g := range clients {
-		addrs := make([]string, m.Replicas(g))
-		for r := range addrs {
-			addrs[r] = nodeAddrs[m.Placement[g][r]]
-		}
-		clients[g] = NewGroupClient(idBase+uint64(g), g, addrs)
-	}
-	return &rebalance.Coordinator{Groups: clients, Home: 0}, nil
-}
-
-// NewLiveShardRouter is NewShardRouter for a rebalance-enabled
-// deployment: the router speaks the rebalance envelope and refetches the
-// live map (highest version any node serves for kind 3) on wrong-group,
-// stale, or permanent errors. An extra client id idBase+groups is used
-// for map fetches.
-func NewLiveShardRouter(idBase uint64, m *shard.ShardMap, nodeAddrs []string) (*shard.Router, error) {
-	m = m.Clone()
-	m.EnsureRanges()
-	r, err := NewShardRouter(idBase, m, nodeAddrs)
-	if err != nil {
-		return nil, err
-	}
-	mapClient := NewGroupClient(idBase+uint64(m.Groups()), 0, nodeAddrs)
-	r.Enveloped = true
-	r.ClientID = idBase
-	r.IsPermanent = func(err error) bool { return errors.Is(err, ErrPermanent) }
-	r.Fetch = func() (*shard.ShardMap, error) {
-		var best *shard.ShardMap
-		for i := range nodeAddrs {
-			nm, err := mapClient.FetchShardMap(i)
-			if err != nil {
-				continue
-			}
-			if best == nil || nm.Version > best.Version {
-				best = nm
-			}
-		}
-		if best == nil {
-			return nil, errors.New("server: no node answered a map fetch")
-		}
-		return best, nil
-	}
-	return r, nil
 }

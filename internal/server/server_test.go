@@ -13,6 +13,7 @@ import (
 	"rex/internal/apps/hashdb"
 	"rex/internal/core"
 	"rex/internal/env"
+	"rex/internal/readpath"
 	"rex/internal/rebalance"
 	"rex/internal/shard"
 	"rex/internal/storage"
@@ -39,27 +40,34 @@ func freePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-// TestTCPClusterEndToEnd runs a real 3-replica cluster over TCP on the
-// real environment — the cmd/rexd deployment path — and drives it through
-// the client protocol.
-func TestTCPClusterEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time TCP cluster test")
-	}
+// tcpGroup is a 3-replica group over real TCP on the real environment,
+// each replica behind its own server — the cmd/rexd deployment path.
+type tcpGroup struct {
+	replicas    []*core.Replica
+	servers     []*Server
+	clientAddrs []string
+}
+
+// startTCPGroup boots a group, stops it when the test ends, and returns
+// it with its elected primary.
+func startTCPGroup(t *testing.T) (*tcpGroup, int) {
+	t.Helper()
 	app := apps.HashDB()
 	peerAddrs := freePorts(t, 3)
-	clientAddrs := freePorts(t, 3)
-	e := env.NewReal()
-
-	var replicas []*core.Replica
-	var servers []*Server
+	g := &tcpGroup{clientAddrs: freePorts(t, 3)}
+	t.Cleanup(func() {
+		for i := range g.servers {
+			g.servers[i].Close()
+			g.replicas[i].Stop()
+		}
+	})
 	for i := 0; i < 3; i++ {
 		ep, err := transport.ListenTCP(i, peerAddrs)
 		if err != nil {
 			t.Fatalf("listen %d: %v", i, err)
 		}
 		r, err := core.NewReplica(core.Config{
-			ID: i, N: 3, Env: e,
+			ID: i, N: 3, Env: env.NewReal(),
 			Endpoint:        ep,
 			Log:             storage.NewMemLog(),
 			Snapshots:       storage.NewMemSnapshots(),
@@ -77,37 +85,33 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 		if err := r.Start(); err != nil {
 			t.Fatal(err)
 		}
-		srv, err := Listen(r, clientAddrs[i])
+		srv, err := Listen(r, g.clientAddrs[i])
 		if err != nil {
+			r.Stop()
 			t.Fatal(err)
 		}
-		replicas = append(replicas, r)
-		servers = append(servers, srv)
+		g.replicas = append(g.replicas, r)
+		g.servers = append(g.servers, srv)
 	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-		for _, r := range replicas {
-			r.Stop()
-		}
-	}()
-
-	// Wait for an election over real TCP.
-	deadline := time.Now().Add(10 * time.Second)
-	leader := -1
-	for leader < 0 && time.Now().Before(deadline) {
-		for i, r := range replicas {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		for i, r := range g.replicas {
 			if r.Role() == core.RolePrimary {
-				leader = i
+				return g, i
 			}
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	if leader < 0 {
-		t.Fatal("no primary elected over TCP")
-	}
+	t.Fatal("no primary elected over TCP")
+	return nil, -1
+}
 
+// TestTCPClusterEndToEnd drives a real TCP group through the client
+// protocol.
+func TestTCPClusterEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time TCP cluster test")
+	}
+	g, leader := startTCPGroup(t)
+	replicas, clientAddrs := g.replicas, g.clientAddrs
 	cl := NewClient(42, clientAddrs)
 	defer cl.Close()
 	for i := 0; i < 20; i++ {
@@ -129,12 +133,15 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 		t.Fatalf("get = %q (ok=%v)", resp, ok)
 	}
 
-	// Read-only query against each replica (secondaries may lag briefly).
+	// An eventual read against each replica alone (secondaries may lag
+	// briefly).
 	q := hashdb.GetReq("tcp-key-7")
 	for i := range replicas {
+		one := NewClient(uint64(100+i), clientAddrs[i:i+1])
+		defer one.Close()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			resp, err := cl.Query(i, q)
+			resp, err := one.QueryLevel(readpath.Eventual, q)
 			if err == nil {
 				d := wire.NewDecoder(resp)
 				if d.Bool() && string(d.BytesVal()) == "v7" {
@@ -170,32 +177,31 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestShardedTCPEndToEnd is the full multi-group deployment over real
-// TCP: three processes, two groups each (via shard.Node + ListenNode), a
-// keyed router over the node addresses, plus shard-map fetch and
-// per-group status.
-func TestShardedTCPEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time TCP cluster test")
-	}
-	m, err := shard.NewShardMap(1, 2, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+// startShardedTCP boots three TCP nodes hosting m's groups (via
+// shard.Node + ListenNode), stops them when the test ends, waits until
+// every group has a primary, and returns the nodes' client addresses.
+func startShardedTCP(t *testing.T, m *shard.ShardMap, seed int64, wrap func(g int, inner core.Factory) core.Factory) []string {
+	t.Helper()
 	app := apps.HashDB()
 	peerAddrs := freePorts(t, 3)
 	clientAddrs := freePorts(t, 3)
-	e := env.NewReal()
-
 	var nodes []*shard.Node
 	var servers []*Server
+	t.Cleanup(func() {
+		for _, s := range servers {
+			s.Close()
+		}
+		for _, n := range nodes {
+			n.Stop()
+		}
+	})
 	for i := 0; i < 3; i++ {
 		ep, err := transport.ListenTCP(i, peerAddrs)
 		if err != nil {
 			t.Fatalf("listen %d: %v", i, err)
 		}
 		n, err := shard.NewNode(shard.NodeConfig{
-			Env:      e,
+			Env:      env.NewReal(),
 			Map:      m,
 			Node:     i,
 			Endpoint: ep,
@@ -206,8 +212,9 @@ func TestShardedTCPEndToEnd(t *testing.T) {
 				ReadWorkers:     1,
 				HeartbeatEvery:  30 * time.Millisecond,
 				ElectionTimeout: 150 * time.Millisecond,
-				Seed:            11,
+				Seed:            seed,
 			},
+			RebalanceWrap: wrap,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -215,23 +222,13 @@ func TestShardedTCPEndToEnd(t *testing.T) {
 		if err := n.Start(); err != nil {
 			t.Fatal(err)
 		}
+		nodes = append(nodes, n)
 		srv, err := ListenNode(n, clientAddrs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes = append(nodes, n)
 		servers = append(servers, srv)
 	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
-
-	// Wait until every group has a primary somewhere.
 	deadline := time.Now().Add(10 * time.Second)
 	for g := 0; g < m.Groups(); g++ {
 		for {
@@ -250,6 +247,22 @@ func TestShardedTCPEndToEnd(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
+	return clientAddrs
+}
+
+// TestShardedTCPEndToEnd is the full multi-group deployment over real
+// TCP: three processes, two groups each (via shard.Node + ListenNode), a
+// keyed router over the node addresses, plus shard-map fetch and
+// per-group status.
+func TestShardedTCPEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time TCP cluster test")
+	}
+	m, err := shard.NewShardMap(1, 2, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientAddrs := startShardedTCP(t, m, 11, nil)
 
 	router, err := NewShardRouter(100, m, clientAddrs)
 	if err != nil {
@@ -324,76 +337,9 @@ func TestRebalanceTCPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.EnsureRanges()
-	app := apps.HashDB()
-	peerAddrs := freePorts(t, 3)
-	clientAddrs := freePorts(t, 3)
-	e := env.NewReal()
-
-	var nodes []*shard.Node
-	var servers []*Server
-	for i := 0; i < 3; i++ {
-		ep, err := transport.ListenTCP(i, peerAddrs)
-		if err != nil {
-			t.Fatalf("listen %d: %v", i, err)
-		}
-		n, err := shard.NewNode(shard.NodeConfig{
-			Env:      e,
-			Map:      m,
-			Node:     i,
-			Endpoint: ep,
-			Template: core.Config{
-				Factory:         app.Factory,
-				Workers:         2,
-				Timers:          app.Timers,
-				ReadWorkers:     1,
-				HeartbeatEvery:  30 * time.Millisecond,
-				ElectionTimeout: 150 * time.Millisecond,
-				Seed:            13,
-			},
-			RebalanceWrap: func(g int, inner core.Factory) core.Factory {
-				return rebalance.WrapFactory(inner, m, g, g == 0)
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start(); err != nil {
-			t.Fatal(err)
-		}
-		srv, err := ListenNode(n, clientAddrs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
-		servers = append(servers, srv)
-	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for g := 0; g < m.Groups(); g++ {
-		for {
-			elected := false
-			for _, n := range nodes {
-				if r := n.Replica(g); r != nil && r.Role() == core.RolePrimary {
-					elected = true
-				}
-			}
-			if elected {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("group %d never elected a primary", g)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
+	clientAddrs := startShardedTCP(t, m, 13, func(g int, inner core.Factory) core.Factory {
+		return rebalance.WrapFactory(inner, m, g, g == 0)
+	})
 
 	router, err := NewLiveShardRouter(100, m, clientAddrs)
 	if err != nil {
@@ -491,15 +437,9 @@ func startFramingServer(t *testing.T) (*Server, func()) {
 	return srv, func() { srv.Close(); r.Stop() }
 }
 
-// request encodes a protocol frame body (without the length prefix).
-func request(kind byte, group, client, seq uint64, body []byte) []byte {
-	e := wire.NewEncoder(nil)
-	e.Byte(kind)
-	e.Uvarint(group)
-	e.Uvarint(client)
-	e.Uvarint(seq)
-	e.BytesVal(body)
-	return e.Bytes()
+// payload encodes a request frame's payload (without the length prefix).
+func payload(kind byte, group int, client, seq uint64, body []byte) []byte {
+	return request{kind: kind, group: group, client: client, seq: seq, body: body}.appendFrame(nil)[4:]
 }
 
 // TestClientProtocolFraming is the table-driven framing edge-case suite:
@@ -532,7 +472,7 @@ func TestClientProtocolFraming(t *testing.T) {
 		{
 			name: "unknown kind",
 			send: func(conn net.Conn) {
-				f := request(99, 0, 1, 1, nil)
+				f := payload(99, 0, 1, 1, nil)
 				writeRaw(conn, uint32(len(f)), f)
 			},
 			wantStatus: int(StatusError),
@@ -541,7 +481,7 @@ func TestClientProtocolFraming(t *testing.T) {
 		{
 			name: "unknown group",
 			send: func(conn net.Conn) {
-				f := request(KindSubmit, 7, 1, 1, []byte("x"))
+				f := payload(KindSubmit, 7, 1, 1, []byte("x"))
 				writeRaw(conn, uint32(len(f)), f)
 			},
 			// Permanent: placement is static, retrying cannot help.
@@ -551,11 +491,22 @@ func TestClientProtocolFraming(t *testing.T) {
 		{
 			name: "malformed body",
 			send: func(conn net.Conn) {
-				// A bare kind byte: the decoder runs out of input.
-				writeRaw(conn, 1, []byte{KindSubmit})
+				// A bare version and kind: the decoder runs out of input.
+				writeRaw(conn, 2, []byte{Version, KindSubmit})
 			},
 			wantStatus: int(StatusError),
 			wantMsg:    "malformed",
+		},
+		{
+			name: "version mismatch",
+			send: func(conn net.Conn) {
+				f := payload(KindSubmit, 0, 1, 1, []byte("x"))
+				f[0] = Version - 1
+				writeRaw(conn, uint32(len(f)), f)
+			},
+			// Permanent: an older or newer client cannot be served.
+			wantStatus: int(StatusFailed),
+			wantMsg:    "unsupported protocol version",
 		},
 		{
 			name: "oversized frame",
@@ -680,7 +631,7 @@ func TestDeadlineFrameRejectsGarbage(t *testing.T) {
 				t.Fatalf("dial: %v", err)
 			}
 			defer conn.Close()
-			frame := request(KindSubmitToken, 0, 99, 1, hashdb.SetReq("k", []byte("v")))
+			frame := payload(KindSubmit, 0, 99, 1, hashdb.SetReq("k", []byte("v")))
 			frame = append(frame, tc.extra...)
 			var hdr [4]byte
 			binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
@@ -704,12 +655,12 @@ func TestDeadlineFrameRejectsGarbage(t *testing.T) {
 		})
 	}
 
-	// A well-formed v5 frame with a valid deadline still succeeds.
+	// A well-formed frame with a valid deadline still succeeds.
 	cl := NewClient(7, []string{addr})
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if _, err := cl.DoCtx(ctx, hashdb.SetReq("k2", []byte("v2"))); err != nil {
-		t.Fatalf("v5 framed request: %v", err)
+		t.Fatalf("deadline-framed request: %v", err)
 	}
 }

@@ -5,41 +5,24 @@ import (
 	"fmt"
 	"time"
 
+	"rex/internal/client"
 	"rex/internal/overload"
 	"rex/internal/readpath"
-	"rex/internal/retry"
 )
 
-// GroupClient submits to one replica group. Both cluster.Client
-// (in-process) and server.Client (TCP) satisfy it: each follows its own
-// group's `not primary` hints independently, so a failover in one group
-// never stalls routing to the others. Each group client keeps its own
-// session token, so session reads stay read-your-writes per group without
-// ever comparing cut frontiers across groups (they live in different
-// trace spaces).
+// GroupClient submits to one replica group. client.Client (in-process
+// or TCP) and server.Client satisfy it: each follows its own group's `not
+// primary` hints independently, so a failover in one group never stalls
+// routing to the others. Each group client keeps its own session token, so
+// session reads stay read-your-writes per group without ever comparing cut
+// frontiers across groups (they live in different trace spaces).
 type GroupClient interface {
 	// Do submits one replicated request to the group and returns the
 	// application response.
 	Do(body []byte) ([]byte, error)
-	// Query runs a read-only query preferring the group's replica i
-	// (served by a replica's local hybrid read pool, outside the
-	// replication protocol), failing over on transient errors.
-	Query(i int, q []byte) ([]byte, error)
 	// QueryLevel runs a read at the given consistency level, routing to
 	// the primary or a caught-up secondary as the level demands.
 	QueryLevel(level readpath.Level, q []byte) ([]byte, error)
-}
-
-// Recorder observes routed operations as a concurrent history (the same
-// shape as cluster.HistoryRecorder; check.History satisfies it). A
-// rebalance-aware router records at the routing layer — with the raw
-// application bytes, before enveloping — so one global history spans
-// groups and the linearizability checker sees a key's operations across
-// an ownership move.
-type Recorder interface {
-	Invoke(client uint64, input []byte) uint64
-	Return(id uint64, output []byte)
-	Timeout(id uint64)
 }
 
 // ErrMapRetriesExhausted reports that a request kept landing on
@@ -51,15 +34,17 @@ var ErrMapRetriesExhausted = errors.New("shard: map retries exhausted")
 var ErrRebalance = errors.New("shard: rebalance error")
 
 // Router routes requests to groups by an application-supplied key. It is
-// single-task like its GroupClients (cluster.Client and server.Client
-// serialize internally; a router per routing task avoids head-of-line
-// blocking between tasks).
+// single-task like its GroupClients (a router per routing task avoids
+// head-of-line blocking between tasks). Redirects, elections and sheds
+// inside a group are the group client's business; the router owns only
+// which group a key goes to.
 //
-// With Enveloped unset the router is the PR 4 static router: it trusts
-// Map forever and forwards raw bodies. With Enveloped set it speaks the
-// rebalance envelope: each request carries the routed range's epoch, and
-// a wrong-group / stale / frozen NACK triggers a bounded map refetch with
-// jittered backoff instead of retrying the same group blindly.
+// With Enveloped unset the router trusts Map forever and forwards raw
+// bodies. With Enveloped set it speaks the rebalance envelope: each
+// request carries the routed range's epoch, and a wrong-group / stale /
+// frozen NACK (or a client.ErrPermanent from a stale route) triggers a
+// bounded map refetch with jittered backoff instead of retrying the same
+// group blindly.
 type Router struct {
 	Map    *ShardMap
 	Groups []GroupClient // one per group, indexed by group id
@@ -69,41 +54,35 @@ type Router struct {
 	// Fetch returns the current map (a linearizable read of the map home
 	// group). Nil disables refetch; NACKs then only burn attempts.
 	Fetch func() (*ShardMap, error)
-	// IsPermanent classifies a transport error as permanent-for-this-
-	// target (e.g. cluster.ErrPermanent after a stale-map redirect loop);
-	// such errors trigger a refetch+reroute instead of failing the call.
-	IsPermanent func(error) bool
-	// Sleep and Now drive the backoff; they default to real time and MUST
-	// be injected (env.Env's methods) inside the simulation.
-	Sleep func(time.Duration)
-	Now   func() time.Duration
+	// Clock drives the backoff; it defaults to real time and MUST be the
+	// env.Env inside the simulation.
+	Clock client.Clock
 	// Recorder, when set, records Do and linearizable QueryLevel calls
-	// with raw application bytes (see Recorder). ClientID labels the
-	// history's client column.
-	Recorder Recorder
+	// with raw application bytes, before enveloping, so one global history
+	// spans groups and the linearizability checker sees a key's operations
+	// across an ownership move. ClientID labels the history's client
+	// column.
+	Recorder client.Recorder
 	ClientID uint64
 	// MaxAttempts bounds NACK-driven rerouting per call (default 32).
 	MaxAttempts int
 	// BudgetExhausted counts calls abandoned on a dry retry budget.
 	BudgetExhausted uint64
 
-	bo     *retry.Backoff
-	budget *retry.Budget
+	pace *client.Pacer
 }
 
-// Router retry budget: every envelope NACK consumed real replication
+// Router retry pacing: every envelope NACK consumed real replication
 // work (the request went through consensus before being refused), so
 // NACK-driven retries spend tokens. Successes earn a full token and the
 // bucket is deep — rebalance freezes are short and bursty; only a
 // sustained NACK storm with no goodput drains it.
 const (
+	minRouteBackoff  = 500 * time.Microsecond
+	maxRouteBackoff  = 20 * time.Millisecond
 	routeBudgetRatio = 1.0
 	routeBudgetBurst = 128
 )
-
-// ErrRetryBudget reports a routed call abandoned because the router's
-// retry budget ran dry.
-var ErrRetryBudget = fmt.Errorf("shard: %w", retry.ErrBudgetExhausted)
 
 // NewRouter binds a map to its per-group clients.
 func NewRouter(m *ShardMap, groups []GroupClient) (*Router, error) {
@@ -116,56 +95,28 @@ func NewRouter(m *ShardMap, groups []GroupClient) (*Router, error) {
 // GroupFor exposes the key hash for callers that track per-group state.
 func (r *Router) GroupFor(key []byte) int { return r.Map.GroupFor(key) }
 
-const (
-	minRouteBackoff = 500 * time.Microsecond
-	maxRouteBackoff = 20 * time.Millisecond
-)
-
-func (r *Router) sleep(d time.Duration) {
-	if r.Sleep != nil {
-		r.Sleep(d)
-		return
+// pacer lazily builds the router's backoff and budget, seeded from the
+// client id (set after NewRouter).
+func (r *Router) pacer() *client.Pacer {
+	if r.pace == nil {
+		clock := r.Clock
+		if clock == nil {
+			clock = client.RealClock()
+		}
+		r.pace = client.NewPacer(clock, int64(r.ClientID)*2654435761+0x5bd1e995,
+			minRouteBackoff, maxRouteBackoff, routeBudgetRatio, routeBudgetBurst)
 	}
-	time.Sleep(d)
-}
-
-// retryState lazily builds the router's shared backoff schedule and
-// retry budget (internal/retry), seeded from the client id.
-func (r *Router) retryState() (*retry.Backoff, *retry.Budget) {
-	if r.bo == nil {
-		r.bo = retry.NewBackoff(minRouteBackoff, maxRouteBackoff, int64(r.ClientID)*2654435761+0x5bd1e995)
-		r.budget = retry.NewBudget(routeBudgetRatio, routeBudgetBurst)
-	}
-	return r.bo, r.budget
-}
-
-// backoff sleeps one jittered exponential step; each routed call resets
-// the schedule (resetBackoff) so per-call delays still start at the
-// minimum like the old attempt-indexed form did.
-func (r *Router) backoff() {
-	bo, _ := r.retryState()
-	r.sleep(bo.Next())
-}
-
-func (r *Router) resetBackoff() {
-	bo, _ := r.retryState()
-	bo.Reset()
+	return r.pace
 }
 
 // spend charges one retry against the budget; false means the budget is
 // dry and the call must be abandoned.
 func (r *Router) spend() bool {
-	_, budget := r.retryState()
-	if budget.Allow() {
+	if r.pacer().Spend() {
 		return true
 	}
 	r.BudgetExhausted++
 	return false
-}
-
-func (r *Router) earn() {
-	_, budget := r.retryState()
-	budget.Success()
 }
 
 // refetch replaces the map if a newer version can be fetched. It is
@@ -206,63 +157,74 @@ func (r *Router) Do(key, body []byte) ([]byte, error) {
 	if !r.Enveloped {
 		return r.Groups[r.Map.GroupFor(key)].Do(body)
 	}
-	var opID uint64
-	if r.Recorder != nil {
-		opID = r.Recorder.Invoke(r.ClientID, body)
+	op := client.Record(r.Recorder, r.ClientID, body)
+	resp, definite, err := r.call(HashKey(key), body, func(g int, env []byte) ([]byte, error) {
+		return r.Groups[g].Do(env)
+	})
+	if err != nil {
+		op.Fail(definite)
+		return nil, err
 	}
-	resp, definite, err := r.do(HashKey(key), body)
-	if r.Recorder != nil {
-		switch {
-		case err == nil:
-			r.Recorder.Return(opID, resp)
-		case definite:
-			// Every attempt was answered with a definite did-not-execute
-			// NACK (rebalance NACKs and overload sheds both guarantee it):
-			// drop the op from the history instead of recording an unknown
-			// outcome the checker must treat as maybe-executes-anytime.
-			if d, ok := r.Recorder.(interface{ Discard(uint64) }); ok {
-				d.Discard(opID)
-			} else {
-				r.Recorder.Timeout(opID)
-			}
-		default:
-			r.Recorder.Timeout(opID)
-		}
-	}
-	return resp, err
+	op.Return(resp)
+	return resp, nil
 }
 
-// do runs the enveloped submit loop. It retries only after deterministic
-// rebalance NACKs (which provably did not mutate state) or permanent
-// transport errors on a stale route; an unknown-outcome transport error
-// is surfaced to the caller rather than blindly resubmitted, since a
+// QueryLevel runs a read for key at the given consistency level against
+// the owning group: linearizable reads go to that group's primary,
+// session/eventual reads fan out over its secondaries with the group
+// client's own session token. Linearizable reads are recorded (they must
+// be, to constrain the history); weaker reads are checked by the session
+// checker instead.
+func (r *Router) QueryLevel(key []byte, level readpath.Level, q []byte) ([]byte, error) {
+	if !r.Enveloped {
+		return r.Groups[r.Map.GroupFor(key)].QueryLevel(level, q)
+	}
+	var op client.Op
+	if level == readpath.Linearizable {
+		op = client.Record(r.Recorder, r.ClientID, q)
+	}
+	resp, _, err := r.call(HashKey(key), q, func(g int, env []byte) ([]byte, error) {
+		return r.Groups[g].QueryLevel(level, env)
+	})
+	if err != nil {
+		// A failed read mutated nothing and was never seen: discard it.
+		op.Fail(true)
+		return nil, err
+	}
+	op.Return(resp)
+	return resp, nil
+}
+
+// call is the enveloped routing loop. It reroutes only after
+// deterministic rebalance NACKs (which provably did not mutate state) or
+// a permanent error on a stale route; an unknown-outcome error is
+// surfaced to the caller rather than blindly resubmitted, since a
 // resubmission would be a second, distinct request. definite reports
 // that no attempt can have mutated state.
-func (r *Router) do(h uint64, body []byte) (resp []byte, definite bool, err error) {
-	r.resetBackoff()
+func (r *Router) call(h uint64, body []byte, send func(g int, env []byte) ([]byte, error)) (resp []byte, definite bool, err error) {
+	r.pacer().Reset()
 	definite = true
 	for attempt := 0; attempt < r.attempts(); attempt++ {
 		if attempt > 0 && !r.spend() {
 			// Every retry here follows a NACK that consumed replication
 			// work; a dry budget means this router is amplifying load on
 			// a cluster that is refusing it.
-			return nil, definite, ErrRetryBudget
+			return nil, definite, client.ErrRetryBudget
 		}
 		g, env := r.route(EnvApp, h, body)
-		out, err := r.Groups[g].Do(env)
+		out, err := send(g, env)
 		if err != nil {
-			if r.IsPermanent != nil && r.IsPermanent(err) {
-				// A permanent transport error (e.g. a stale-sequence wrap)
-				// may mean an earlier attempt landed: outcome unknown.
+			if errors.Is(err, client.ErrPermanent) {
+				// A permanent error (e.g. a stale-sequence wrap) may mean
+				// an earlier attempt landed: outcome unknown.
 				definite = false
 				r.refetch()
-				r.backoff()
+				r.pacer().Backoff()
 				continue
 			}
 			if errors.Is(err, overload.ErrOverloaded) || errors.Is(err, overload.ErrDeadlineExceeded) {
-				// Shed before admission, after the group client's own
-				// paced retries: provably never executed. Surface it — the
-				// caller owns the load decision now.
+				// Shed before admission: provably never executed. Surface
+				// it — the caller owns the load decision now.
 				return nil, definite, err
 			}
 			return nil, false, err
@@ -272,7 +234,7 @@ func (r *Router) do(h uint64, body []byte) (resp []byte, definite bool, err erro
 			if rerr != nil {
 				return nil, false, rerr
 			}
-			r.earn()
+			r.pacer().Earn()
 			return payload, true, nil
 		}
 	}
@@ -298,7 +260,7 @@ func (r *Router) handleReply(resp []byte, attempt int) (done bool, payload []byt
 			// one.
 			r.refetch()
 		}
-		r.backoff()
+		r.pacer().Backoff()
 		return false, nil, nil
 	case ReplyFrozen:
 		// Bounded migration write barrier; wait it out, occasionally
@@ -306,105 +268,11 @@ func (r *Router) handleReply(resp []byte, attempt int) (done bool, payload []byt
 		if attempt > 1 {
 			r.refetch()
 		}
-		r.backoff()
+		r.pacer().Backoff()
 		return false, nil, nil
 	case ReplyErr:
 		return true, nil, fmt.Errorf("%w: %s", ErrRebalance, ReplyErrMessage(payload))
 	default:
 		return true, nil, fmt.Errorf("shard: unknown reply status %d", st)
 	}
-}
-
-// Query runs a read-only query for key against replica i of the owning
-// group (read fan-out: any replica's local hybrid pool can serve it).
-func (r *Router) Query(key []byte, i int, q []byte) ([]byte, error) {
-	if !r.Enveloped {
-		return r.Groups[r.Map.GroupFor(key)].Query(i, q)
-	}
-	h := HashKey(key)
-	r.resetBackoff()
-	for attempt := 0; attempt < r.attempts(); attempt++ {
-		if attempt > 0 && !r.spend() {
-			return nil, ErrRetryBudget
-		}
-		g, env := r.route(EnvApp, h, q)
-		resp, err := r.Groups[g].Query(i, env)
-		if err != nil {
-			if r.IsPermanent != nil && r.IsPermanent(err) {
-				r.refetch()
-				r.backoff()
-				continue
-			}
-			return nil, err
-		}
-		done, payload, err := r.handleReply(resp, attempt)
-		if done {
-			if err == nil {
-				r.earn()
-			}
-			return payload, err
-		}
-	}
-	return nil, ErrMapRetriesExhausted
-}
-
-// QueryLevel runs a read for key at the given consistency level against
-// the owning group: linearizable reads go to that group's primary,
-// session/eventual reads fan out over its secondaries with the group
-// client's own session token. Linearizable reads are recorded (they must
-// be, to constrain the history); weaker reads are checked by the session
-// checker instead.
-func (r *Router) QueryLevel(key []byte, level readpath.Level, q []byte) ([]byte, error) {
-	if !r.Enveloped {
-		return r.Groups[r.Map.GroupFor(key)].QueryLevel(level, q)
-	}
-	var opID uint64
-	record := r.Recorder != nil && level == readpath.Linearizable
-	if record {
-		opID = r.Recorder.Invoke(r.ClientID, q)
-	}
-	resp, err := r.queryLevel(HashKey(key), level, q)
-	if record {
-		switch {
-		case err == nil:
-			r.Recorder.Return(opID, resp)
-		default:
-			// A failed read is always discardable: it mutated nothing and
-			// the caller never saw a response, so dropping it cannot
-			// invalidate any other op's linearization.
-			if d, ok := r.Recorder.(interface{ Discard(uint64) }); ok {
-				d.Discard(opID)
-			} else {
-				r.Recorder.Timeout(opID)
-			}
-		}
-	}
-	return resp, err
-}
-
-func (r *Router) queryLevel(h uint64, level readpath.Level, q []byte) ([]byte, error) {
-	r.resetBackoff()
-	for attempt := 0; attempt < r.attempts(); attempt++ {
-		if attempt > 0 && !r.spend() {
-			return nil, ErrRetryBudget
-		}
-		g, env := r.route(EnvApp, h, q)
-		resp, err := r.Groups[g].QueryLevel(level, env)
-		if err != nil {
-			if r.IsPermanent != nil && r.IsPermanent(err) {
-				r.refetch()
-				r.backoff()
-				continue
-			}
-			return nil, err
-		}
-		done, payload, err := r.handleReply(resp, attempt)
-		if done {
-			if err == nil {
-				r.earn()
-			}
-			return payload, err
-		}
-	}
-	return nil, ErrMapRetriesExhausted
 }
