@@ -14,13 +14,13 @@ test:
 # torture tests, the core replica lifecycle tests (including the read
 # path and the conflict-elision property test), the client core and the
 # TCP server/client (including the failover test), the reconfiguration
-# drills (node replacement under load), and the pinned-seed
-# consistent-read and conflict-class chaos scenarios.
+# drills (node replacement under load), and the chaos table at its
+# pinned seeds (every entry twice, plus the pinned composition).
 race:
 	$(GO) test -race ./internal/transport ./internal/core
 	$(GO) test -race ./internal/client ./internal/server
 	$(GO) test -race -run 'TestReplacementDrill|TestRemovedIdentityRefused' ./internal/cluster/
-	$(GO) test -race -run 'TestReadsScenarioPinnedSeed|TestConflictsScenarioPinnedSeed|TestOverloadScenarioPinnedSeed' ./internal/chaos/
+	$(GO) test -race -run 'TestScenarioTable' ./internal/chaos/
 	$(GO) test -race -run 'TestMigrationWindowProperty' ./internal/rebalance/
 
 vet:
@@ -52,16 +52,19 @@ bench-json:
 	$(GO) run ./cmd/rexbench -exp reads -json BENCH_read_scaling.json
 	$(GO) run ./cmd/rexbench -exp overload -json BENCH_overload.json
 
-# A short deterministic chaos sweep: every scenario must come back OK.
-# Reproduce a failure with `go run ./cmd/rexchaos -seed <seed> -v`.
+# A short deterministic chaos sweep: one line per chaos table entry at
+# the entry's default duration, plus the overload storm composed with the
+# membership-change plan. Every run must come back OK; a failing run
+# prints the command that reproduces it.
 chaos:
-	$(GO) run ./cmd/rexchaos -scenarios 8 -seed 1
-	$(GO) run ./cmd/rexchaos -shards -scenarios 2 -seed 1
-	$(GO) run ./cmd/rexchaos -reconfig -scenarios 4 -seed 1 -duration 2s
-	$(GO) run ./cmd/rexchaos -recovery -scenarios 4 -seed 1 -duration 4s
-	$(GO) run ./cmd/rexchaos -reads -scenarios 4 -seed 1 -duration 4s
-	$(GO) run ./cmd/rexchaos -conflicts -scenarios 4 -seed 1 -duration 4s
-	$(GO) run ./cmd/rexchaos -overload -scenarios 4 -seed 1
-	$(GO) run ./cmd/rexchaos -rebalance -scenarios 2 -seed 1 -groups 3
+	$(GO) run ./cmd/rexchaos -scenario random -scenarios 8 -seed 1
+	$(GO) run ./cmd/rexchaos -scenario shards -scenarios 2 -seed 1
+	$(GO) run ./cmd/rexchaos -scenario reconfig -scenarios 4 -seed 1
+	$(GO) run ./cmd/rexchaos -scenario recovery -scenarios 4 -seed 1
+	$(GO) run ./cmd/rexchaos -scenario reads -scenarios 4 -seed 1
+	$(GO) run ./cmd/rexchaos -scenario conflicts -scenarios 4 -seed 1
+	$(GO) run ./cmd/rexchaos -scenario overload -scenarios 4 -seed 1
+	$(GO) run ./cmd/rexchaos -scenario rebalance -scenarios 2 -seed 1
+	$(GO) run ./cmd/rexchaos -scenario overload+reconfig -scenarios 4 -seed 1
 
 check: build vet staticcheck test race chaos

@@ -1,9 +1,11 @@
 // Command rexchaos runs seed-deterministic chaos scenarios against an
 // in-process Rex cluster under the simulator and checks the correctness
 // contract: linearizability of the recorded client history, the prefix
-// property over chosen logs, state agreement after quiescence, and
-// replay determinism across restarts. On failure it prints the seed that
-// reproduces the exact schedule and verdict.
+// property over chosen logs, state agreement after quiescence, and the
+// scenario's own checks (replay determinism, session reads, witness
+// floors). -scenario names an entry of the chaos table, or several joined
+// by "+" to run their workloads and nemeses together. On failure it
+// prints the command that reproduces the exact run.
 package main
 
 import (
@@ -20,23 +22,25 @@ import (
 
 func main() {
 	var (
+		name      = flag.String("scenario", "random", "table entry to run, or entries joined by + ("+strings.Join(chaos.Names(), ", ")+")")
 		seed      = flag.Int64("seed", 1, "base seed; scenario i runs with seed+i")
-		scenarios = flag.Int("scenarios", 10, "number of scenarios to run")
-		app       = flag.String("app", "all", "hashdb|memcache|lockserver|all (all derives the app from each seed)")
-		duration  = flag.Duration("duration", 3*time.Second, "virtual client-load phase per scenario")
-		shards    = flag.Bool("shards", false, "run the sharded fault-isolation scenario instead (kill one group's primary, check blast radius)")
-		groups    = flag.Int("groups", 4, "replica groups for -shards / -rebalance")
-		rebal     = flag.Bool("rebalance", false, "run the live-rebalancing scenario instead (split/merge/move ranges under primary-kill churn; global linearizability + session checks)")
-		reconfig  = flag.Bool("reconfig", false, "run the reconfiguration scenario instead (replace/add/remove members under partitions)")
-		recovery  = flag.Bool("recovery", false, "run the bounded-recovery scenario instead (checkpoints disabled, promote/demote churn, must resync not panic)")
-		reads     = flag.Bool("reads", false, "run the consistent-read scenario instead (isolate the primary mid-lease; no stale linearizable read, session reads stay read-your-writes)")
-		conflicts = flag.Bool("conflicts", false, "run the conflict-class scenario instead (elision on, failovers mid-load; replay must stay deterministic and the history linearizable)")
-		overload  = flag.Bool("overload", false, "run the overload scenario instead (zipfian hot-key storm past admission capacity with a mid-storm primary crash; must shed, keep bounded queues, stay linearizable, and recover)")
-		clients   = flag.Int("clients", 0, "storm workers for -overload (0 takes the scenario default)")
+		scenarios = flag.Int("scenarios", 10, "number of seeds to run")
+		app       = flag.String("app", "all", "hashdb|memcache|lockserver|all, for entries that do not pin one (all derives the app from each seed)")
+		duration  = flag.Duration("duration", 0, "virtual load phase per run (0 takes the entry's default)")
+		groups    = flag.Int("groups", 0, "replica groups for multi-group entries (0 takes the entry's default)")
+		clients   = flag.Int("clients", 0, "clients per workload (0 takes each workload's default)")
 		verbose   = flag.Bool("v", false, "log nemesis actions as they fire")
 	)
 	flag.Parse()
 
+	sc, err := chaos.Lookup(*name)
+	if err == nil {
+		err = override(&sc, *app, *duration, *groups, *clients)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	reg := obs.NewRegistry()
 	var logf func(string, ...any)
 	if *verbose {
@@ -46,292 +50,55 @@ func main() {
 	}
 
 	start := time.Now()
-	var failed []int64
-	if *reconfig {
-		for i := 0; i < *scenarios; i++ {
-			s := *seed + int64(i)
-			res := chaos.RunReconfigScenario(chaos.ReconfigScenarioConfig{
-				Seed:     s,
-				App:      *app,
-				Duration: *duration,
-			}, reg, logf)
-			verdict := "OK"
-			if !res.OK {
-				verdict = "FAIL"
-				failed = append(failed, s)
-			}
-			fmt.Printf("scenario %2d/%d  seed=%-6d app=%-10s faults=%-2d ops=%-4d timeouts=%-3d checked=%-4d wall=%-10v %s\n",
-				i+1, *scenarios, s, res.App, res.Faults, res.Ops, res.Timeouts,
-				res.Check.Ops, res.CheckerWall.Round(time.Microsecond), verdict)
-			for _, v := range res.Violations {
-				fmt.Printf("    violation: %s\n", v)
-			}
-		}
-		printMetrics(reg)
-		if len(failed) > 0 {
-			strs := make([]string, len(failed))
-			for i, s := range failed {
-				strs[i] = fmt.Sprint(s)
-			}
-			fmt.Printf("FAILING SEEDS: %s\n", strings.Join(strs, " "))
-			fmt.Printf("reproduce with: go run ./cmd/rexchaos -reconfig -scenarios 1 -seed %d -duration %v\n",
-				failed[0], *duration)
-			os.Exit(1)
-		}
-		fmt.Printf("all %d reconfiguration scenarios OK in %v\n", *scenarios, time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *recovery {
-		for i := 0; i < *scenarios; i++ {
-			s := *seed + int64(i)
-			res := chaos.RunRecoveryScenario(chaos.RecoveryScenarioConfig{
-				Seed:     s,
-				App:      *app,
-				Duration: *duration,
-			}, reg, logf)
-			verdict := "OK"
-			if !res.OK {
-				verdict = "FAIL"
-				failed = append(failed, s)
-			}
-			fmt.Printf("scenario %2d/%d  seed=%-6d app=%-10s faults=%-2d ops=%-4d timeouts=%-3d resyncs=%-2d checked=%-4d wall=%-10v %s\n",
-				i+1, *scenarios, s, res.App, res.Faults, res.Ops, res.Timeouts,
-				res.Resyncs, res.Check.Ops, res.CheckerWall.Round(time.Microsecond), verdict)
-			for _, v := range res.Violations {
-				fmt.Printf("    violation: %s\n", v)
-			}
-		}
-		printMetrics(reg)
-		if len(failed) > 0 {
-			strs := make([]string, len(failed))
-			for i, s := range failed {
-				strs[i] = fmt.Sprint(s)
-			}
-			fmt.Printf("FAILING SEEDS: %s\n", strings.Join(strs, " "))
-			fmt.Printf("reproduce with: go run ./cmd/rexchaos -recovery -scenarios 1 -seed %d -duration %v\n",
-				failed[0], *duration)
-			os.Exit(1)
-		}
-		fmt.Printf("all %d bounded-recovery scenarios OK in %v\n", *scenarios, time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *reads {
-		for i := 0; i < *scenarios; i++ {
-			s := *seed + int64(i)
-			res := chaos.RunReadsScenario(chaos.ReadsScenarioConfig{
-				Seed:     s,
-				Duration: *duration,
-			}, reg, logf)
-			verdict := "OK"
-			if !res.OK {
-				verdict = "FAIL"
-				failed = append(failed, s)
-			}
-			fmt.Printf("scenario %2d/%d  seed=%-6d app=%-10s faults=%-2d failovers=%-2d ops=%-4d sessionOps=%-4d leaseReads=%-4d followerReads=%-4d timeouts=%-3d wall=%-10v %s\n",
-				i+1, *scenarios, s, res.App, res.Faults, res.Failovers, res.Ops,
-				res.SessionOps, res.LeaseReads, res.FollowerReads, res.Timeouts,
-				res.CheckerWall.Round(time.Microsecond), verdict)
-			for _, v := range res.Violations {
-				fmt.Printf("    violation: %s\n", v)
-			}
-		}
-		printMetrics(reg)
-		if len(failed) > 0 {
-			strs := make([]string, len(failed))
-			for i, s := range failed {
-				strs[i] = fmt.Sprint(s)
-			}
-			fmt.Printf("FAILING SEEDS: %s\n", strings.Join(strs, " "))
-			fmt.Printf("reproduce with: go run ./cmd/rexchaos -reads -scenarios 1 -seed %d -duration %v\n",
-				failed[0], *duration)
-			os.Exit(1)
-		}
-		fmt.Printf("all %d consistent-read scenarios OK in %v\n", *scenarios, time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *overload {
-		for i := 0; i < *scenarios; i++ {
-			s := *seed + int64(i)
-			dur := *duration
-			if dur == 3*time.Second {
-				dur = 0 // default flag value: take the scenario's own default
-			}
-			res := chaos.RunOverloadScenario(chaos.OverloadScenarioConfig{
-				Seed:     s,
-				Duration: dur,
-				Clients:  *clients,
-			}, reg, logf)
-			verdict := "OK"
-			if !res.OK {
-				verdict = "FAIL"
-				failed = append(failed, s)
-			}
-			fmt.Printf("scenario %2d/%d  seed=%-6d app=%-10s faults=%-2d failovers=%-2d ops=%-4d discarded=%-4d sheds=%-5d deadline=%-4d budgetDry=%-3d maxOut=%-3d maxWait=%-3d recovery=%d/40 timeouts=%-4d wall=%-10v %s\n",
-				i+1, *scenarios, s, res.App, res.Faults, res.Failovers, res.Ops,
-				res.Discarded, res.Sheds, res.DeadlineErrs, res.BudgetExhausted,
-				res.MaxOutstanding, res.MaxWaiters, res.RecoveryOps, res.Timeouts,
-				res.CheckerWall.Round(time.Microsecond), verdict)
-			for _, v := range res.Violations {
-				fmt.Printf("    violation: %s\n", v)
-			}
-		}
-		printMetrics(reg)
-		if len(failed) > 0 {
-			strs := make([]string, len(failed))
-			for i, s := range failed {
-				strs[i] = fmt.Sprint(s)
-			}
-			fmt.Printf("FAILING SEEDS: %s\n", strings.Join(strs, " "))
-			fmt.Printf("reproduce with: go run ./cmd/rexchaos -overload -scenarios 1 -seed %d\n", failed[0])
-			os.Exit(1)
-		}
-		fmt.Printf("all %d overload scenarios OK in %v\n", *scenarios, time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *conflicts {
-		for i := 0; i < *scenarios; i++ {
-			s := *seed + int64(i)
-			res := chaos.RunConflictsScenario(chaos.ConflictsScenarioConfig{
-				Seed:     s,
-				Duration: *duration,
-			}, reg, logf)
-			verdict := "OK"
-			if !res.OK {
-				verdict = "FAIL"
-				failed = append(failed, s)
-			}
-			fmt.Printf("scenario %2d/%d  seed=%-6d app=%-10s faults=%-2d failovers=%-2d ops=%-4d elided=%-6d sweeps=%-3d timeouts=%-3d checked=%-4d wall=%-10v %s\n",
-				i+1, *scenarios, s, res.App, res.Faults, res.Failovers, res.Ops,
-				res.ElidedOps, res.Sweeps, res.Timeouts, res.Check.Ops,
-				res.CheckerWall.Round(time.Microsecond), verdict)
-			for _, v := range res.Violations {
-				fmt.Printf("    violation: %s\n", v)
-			}
-		}
-		printMetrics(reg)
-		if len(failed) > 0 {
-			strs := make([]string, len(failed))
-			for i, s := range failed {
-				strs[i] = fmt.Sprint(s)
-			}
-			fmt.Printf("FAILING SEEDS: %s\n", strings.Join(strs, " "))
-			fmt.Printf("reproduce with: go run ./cmd/rexchaos -conflicts -scenarios 1 -seed %d -duration %v\n",
-				failed[0], *duration)
-			os.Exit(1)
-		}
-		fmt.Printf("all %d conflict-class scenarios OK in %v\n", *scenarios, time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *rebal {
-		for i := 0; i < *scenarios; i++ {
-			s := *seed + int64(i)
-			res := chaos.RunRebalanceScenario(chaos.RebalanceScenarioConfig{
-				Seed:   s,
-				Groups: *groups,
-				Nodes:  *groups,
-			}, reg, logf)
-			verdict := "OK"
-			if !res.OK {
-				verdict = "FAIL"
-				failed = append(failed, s)
-			}
-			fmt.Printf("scenario %2d/%d  seed=%-6d groups=%-2d splits=%-2d merges=%-2d moves=%-2d kills=%-2d mapv=%-3d ops=%-5d timeouts=%-3d %s\n",
-				i+1, *scenarios, s, *groups, res.Splits, res.Merges, res.Moves,
-				res.Kills, res.MapVersion, res.Ops, res.Timeouts, verdict)
-			for _, v := range res.Violations {
-				fmt.Printf("    violation: %s\n", v)
-			}
-		}
-		printMetrics(reg)
-		if len(failed) > 0 {
-			strs := make([]string, len(failed))
-			for i, s := range failed {
-				strs[i] = fmt.Sprint(s)
-			}
-			fmt.Printf("FAILING SEEDS: %s\n", strings.Join(strs, " "))
-			fmt.Printf("reproduce with: go run ./cmd/rexchaos -rebalance -scenarios 1 -seed %d -groups %d\n",
-				failed[0], *groups)
-			os.Exit(1)
-		}
-		fmt.Printf("all %d rebalance scenarios OK in %v\n", *scenarios, time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *shards {
-		for i := 0; i < *scenarios; i++ {
-			s := *seed + int64(i)
-			res := chaos.RunShardScenario(chaos.ShardScenarioConfig{
-				Seed:   s,
-				Groups: *groups,
-				Phase:  *duration / 2,
-			}, reg, logf)
-			verdict := "OK"
-			if !res.OK {
-				verdict = "FAIL"
-				failed = append(failed, s)
-			}
-			fmt.Printf("scenario %2d/%d  seed=%-6d groups=%-2d killed=g%d/r%d ops=%-5d timeouts=%-3d pre=%s post=%s %s\n",
-				i+1, *scenarios, s, *groups, res.KilledGroup, res.KilledReplica,
-				res.Ops, res.Timeouts, rateList(res.PreKill), rateList(res.PostKill), verdict)
-			for _, v := range res.Violations {
-				fmt.Printf("    violation: %s\n", v)
-			}
-		}
-		printMetrics(reg)
-		if len(failed) > 0 {
-			strs := make([]string, len(failed))
-			for i, s := range failed {
-				strs[i] = fmt.Sprint(s)
-			}
-			fmt.Printf("FAILING SEEDS: %s\n", strings.Join(strs, " "))
-			fmt.Printf("reproduce with: go run ./cmd/rexchaos -shards -scenarios 1 -seed %d -groups %d -duration %v\n",
-				failed[0], *groups, *duration)
-			os.Exit(1)
-		}
-		fmt.Printf("all %d sharded scenarios OK in %v\n", *scenarios, time.Since(start).Round(time.Millisecond))
-		return
-	}
+	var failed []string
 	for i := 0; i < *scenarios; i++ {
-		s := *seed + int64(i)
-		sc, err := chaos.NewScenario(s, *app, *duration)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		res := sc.Run(reg, logf)
+		sc.Seed = *seed + int64(i)
+		res := chaos.Run(sc, reg, logf)
 		verdict := "OK"
 		if !res.OK {
 			verdict = "FAIL"
-			failed = append(failed, s)
+			failed = append(failed, fmt.Sprint(res.Seed))
 		}
-		fmt.Printf("scenario %2d/%d  seed=%-6d app=%-10s steps=%-2d ops=%-4d timeouts=%-3d checked=%-4d parts=%-3d wall=%-10v %s\n",
-			i+1, *scenarios, s, sc.App, res.Faults, res.Ops, res.Timeouts,
-			res.Check.Ops, res.Check.Partitions, res.CheckerWall.Round(time.Microsecond), verdict)
+		fmt.Printf("%s %2d/%d  seed=%-6d app=%-10s %s wall=%v %s\n", sc.Name, i+1, *scenarios,
+			res.Seed, res.App, res, res.CheckerWall.Round(time.Microsecond), verdict)
 		for _, v := range res.Violations {
 			fmt.Printf("    violation: %s\n", v)
 		}
 	}
-
 	printMetrics(reg)
 	if len(failed) > 0 {
-		strs := make([]string, len(failed))
-		for i, s := range failed {
-			strs[i] = fmt.Sprint(s)
-		}
-		fmt.Printf("FAILING SEEDS: %s\n", strings.Join(strs, " "))
-		fmt.Printf("reproduce with: go run ./cmd/rexchaos -scenarios 1 -seed %d -app %s -duration %v\n",
-			failed[0], *app, *duration)
+		fmt.Printf("FAILING SEEDS: %s\n", strings.Join(failed, " "))
+		repro := fmt.Sprintf("go run ./cmd/rexchaos -scenario %s -scenarios 1 -seed %s", sc.Name, failed[0])
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name != "scenario" && f.Name != "scenarios" && f.Name != "seed" {
+				repro += fmt.Sprintf(" -%s=%v", f.Name, f.Value)
+			}
+		})
+		fmt.Printf("reproduce with: %s\n", repro)
 		os.Exit(1)
 	}
-	fmt.Printf("all %d scenarios OK in %v\n", *scenarios, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("all %d %s scenarios OK in %v\n", *scenarios, sc.Name, time.Since(start).Round(time.Millisecond))
 }
 
-// rateList renders per-group ops/sec compactly, e.g. [120 118 125 0].
-func rateList(rates []float64) string {
-	parts := make([]string, len(rates))
-	for i, r := range rates {
-		parts[i] = fmt.Sprintf("%.0f", r)
+// override applies the command-line settings to the scenario's defaults.
+func override(sc *chaos.Scenario, app string, duration time.Duration, groups, clients int) error {
+	if app != "all" {
+		if sc.App != "" && sc.App != app {
+			return fmt.Errorf("rexchaos: scenario %s runs %s, not %s", sc.Name, sc.App, app)
+		}
+		sc.App = app
 	}
-	return "[" + strings.Join(parts, " ") + "]"
+	if duration > 0 {
+		sc.Duration = duration
+	}
+	if groups > 0 {
+		if sc.Topology.Groups == 0 {
+			return fmt.Errorf("rexchaos: scenario %s runs a single replica group; -groups does not apply", sc.Name)
+		}
+		sc.Topology.Groups = groups
+	}
+	sc.Clients = clients
+	return nil
 }
 
 func printMetrics(reg *obs.Registry) {

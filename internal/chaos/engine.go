@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"fmt"
+
 	"rex/internal/cluster"
 	"rex/internal/core"
 	"rex/internal/obs"
@@ -80,7 +82,7 @@ func (en *Engine) Apply(st Step) {
 		en.logf("chaos: crash replica %d (%s)", i, st.Kind)
 		en.C.Crash(i)
 	case KindRestartAll:
-		if err := en.restartDown(); err != nil {
+		if err := restartDown(en.C, en.Logf); err != nil {
 			en.logf("chaos: restart failed: %v", err)
 		}
 	case KindPartition:
@@ -130,33 +132,33 @@ func (en *Engine) Apply(st Step) {
 	en.count("fault_" + st.Kind.String())
 }
 
-// restartDown restarts every crashed or faulted replica. Replicas parked
-// in RoleRemoved are not down — they left the membership and must stay
-// out (restarting their old identity would only be refused again).
-func (en *Engine) restartDown() error {
-	for i := 0; i < en.C.Size(); i++ {
-		if r := en.C.Replica(i); r != nil && r.Role() == core.RoleFaulted {
-			en.C.Crash(i) // reap the crash-stopped process
+// restartDown restarts every crashed or faulted replica of c that is
+// still a member. A removed identity (crashed, or parked in RoleRemoved)
+// must stay out: restarting it would only be refused again.
+func restartDown(c *cluster.Cluster, logf func(string, ...any)) error {
+	for i := 0; i < c.Size(); i++ {
+		if r := c.Replica(i); r != nil && r.Role() == core.RoleFaulted {
+			c.Crash(i) // reap the crash-stopped process
 		}
-		if en.C.Replica(i) == nil {
-			en.logf("chaos: restart replica %d", i)
-			if err := en.C.Restart(i); err != nil {
-				return err
+		if c.Replica(i) == nil && isMember(c, i) {
+			if logf != nil {
+				logf("chaos: restart replica %d", i)
+			}
+			if err := c.Restart(i); err != nil {
+				return fmt.Errorf("restart replica %d: %v", i, err)
 			}
 		}
 	}
 	return nil
 }
 
-// RecoverAll ends the fault phase: disarm pending WAL failures, heal the
-// network, and restart everything that is down, so the cluster can
-// quiesce for checking.
-func (en *Engine) RecoverAll() error {
-	for _, f := range en.Faults {
-		if f != nil {
-			f.Disarm()
-		}
+// isMember reports whether replica i belongs to the primary's membership
+// (true when there is no primary to ask).
+func isMember(c *cluster.Cluster, i int) bool {
+	p := c.Primary()
+	if p < 0 {
+		return true
 	}
-	en.C.Net.Heal()
-	return en.restartDown()
+	r := c.Replica(p)
+	return r == nil || r.Membership().IsMember(i)
 }

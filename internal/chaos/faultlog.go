@@ -1,10 +1,11 @@
-// Package chaos is the fault-injection engine: seed-deterministic
-// nemesis schedules (crashes, primary kills, partitions, message loss
-// and delay bursts, WAL write errors) executed against an in-process
-// cluster under the simulator, plus the scenario runner that drives a
-// recorded client workload through the faults and hands the evidence —
-// concurrent histories, chosen logs, quiesced states — to the check
-// package for verdicts.
+// Package chaos is the fault-injection harness: one Run over a Scenario
+// of topology × workloads × nemeses × checks, executed against an
+// in-process cluster under the simulator. Nemeses range from random
+// seed-derived schedules (crashes, primary kills, partitions, message
+// loss and delay bursts, WAL write errors) to membership changes, range
+// moves and overload storms; the evidence — concurrent histories, session
+// events, chosen logs, quiesced states — goes to the check package for
+// verdicts. The scenarios are entries of one table and compose with "+".
 package chaos
 
 import (

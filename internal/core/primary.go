@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"rex/internal/overload"
@@ -401,12 +402,19 @@ func (r *Replica) releaseOneLocked(idx uint64, p *pendingReq) {
 }
 
 // releaseResponsesLocked flushes every pending response now covered by the
-// committed last consistent cut.
+// committed last consistent cut, in request-index order: map order would
+// wake clients in a different order on every run and break seed
+// reproducibility under the simulator.
 func (r *Replica) releaseResponsesLocked() {
+	var ready []uint64
 	for idx, p := range r.pending {
 		if p.done && r.lcc.Covers(p.end) {
-			r.releaseOneLocked(idx, p)
+			ready = append(ready, idx)
 		}
+	}
+	slices.Sort(ready)
+	for _, idx := range ready {
+		r.releaseOneLocked(idx, r.pending[idx])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"time"
 
 	"rex/internal/env"
@@ -656,18 +657,19 @@ func (r *Replica) fault(err error) {
 }
 
 func (r *Replica) failPendingLocked() {
-	for idx, p := range r.pending {
-		// Close even completed-but-unreleased requests: their commit never
-		// covered them here, so the client must retry at the new primary
-		// (dedup makes the retry idempotent).
-		p.ch.Close()
+	// Channels close in key order so waiters wake in the same order on
+	// every run. Close even completed-but-unreleased requests: their
+	// commit never covered them here, so the client must retry at the new
+	// primary (dedup makes the retry idempotent).
+	for _, idx := range sortedKeys(r.pending) {
+		r.pending[idx].ch.Close()
 		delete(r.pending, idx)
 	}
 	// Barrier readers lose their leadership proof with the demotion; a
 	// closed channel tells them to retry (possibly elsewhere) instead of
 	// waiting out the timeout.
-	for id, ch := range r.pendingBarriers {
-		ch.Close()
+	for _, id := range sortedKeys(r.pendingBarriers) {
+		r.pendingBarriers[id].Close()
 		delete(r.pendingBarriers, id)
 	}
 	r.outstanding = 0
@@ -676,6 +678,16 @@ func (r *Replica) failPendingLocked() {
 	r.proposeTimes = nil
 	r.resetClassDispatchLocked()
 	r.cond.Broadcast()
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // resetClassDispatchLocked clears the conflict-class dispatch state

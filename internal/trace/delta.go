@@ -108,17 +108,33 @@ func encodeCut(e *wire.Encoder, c Cut) {
 	}
 }
 
-func decodeCut(d *wire.Decoder) Cut {
+// decodeCut reads a cut. Every entry takes at least one byte, so a count
+// beyond the unread input is corruption and is rejected before allocating.
+func decodeCut(d *wire.Decoder) (Cut, error) {
 	n := d.Uvarint()
-	if d.Err() != nil || n > 1<<20 {
-		return nil
+	if d.Err() != nil {
+		return nil, d.Err()
+	}
+	if n > uint64(d.Remaining()) {
+		return nil, wire.ErrCorrupt
 	}
 	c := make(Cut, n)
 	for i := range c {
 		c[i] = int32(d.Uvarint())
 	}
-	return c
+	return c, d.Err()
 }
+
+// The smallest encodings of the counted items, one byte per field: an
+// event (kind, Res, Arg, in-edge count), an in-edge (thread, clock), a
+// request (client, seq, body length; version 2 adds the class index) and
+// a mark (id, cut length).
+const (
+	minEventBytes = 4
+	minEdgeBytes  = 2
+	minReqBytes   = 3
+	minMarkBytes  = 2
+)
 
 // Encode appends the wire form of d to e. The encoding is the Paxos
 // proposal value and the WAL record body; it averages roughly 16 bytes per
@@ -210,23 +226,30 @@ func (d *Delta) EncodeBytesHint(sizeHint int) []byte {
 	return out
 }
 
-// DecodeDelta parses a delta from dec.
+// DecodeDelta parses a delta from dec. Every count is checked against the
+// unread input before anything is allocated for it, so a corrupt WAL
+// record or Paxos value costs at most memory proportional to its length.
 func DecodeDelta(dec *wire.Decoder) (*Delta, error) {
 	v := dec.Byte()
 	if dec.Err() == nil && v != deltaVersion && v != deltaVersionV1 {
 		return nil, fmt.Errorf("trace: unsupported delta version %d", v)
 	}
 	d := &Delta{}
+	var err error
 	if dec.Bool() {
-		d.Rebase = decodeCut(dec)
+		if d.Rebase, err = decodeCut(dec); err != nil {
+			return nil, err
+		}
 	}
-	d.Base = decodeCut(dec)
+	if d.Base, err = decodeCut(dec); err != nil {
+		return nil, err
+	}
 	d.ReqBase = dec.Uvarint()
 	nThreads := dec.Uvarint()
 	if dec.Err() != nil {
 		return nil, dec.Err()
 	}
-	if nThreads > 1<<16 {
+	if nThreads > 1<<16 || nThreads > uint64(dec.Remaining()) {
 		return nil, wire.ErrCorrupt
 	}
 	d.Threads = make([]ThreadLog, nThreads)
@@ -235,7 +258,7 @@ func DecodeDelta(dec *wire.Decoder) (*Delta, error) {
 		if dec.Err() != nil {
 			return nil, dec.Err()
 		}
-		if n > 1<<28 {
+		if n > 1<<28 || n > uint64(dec.Remaining()/minEventBytes) {
 			return nil, wire.ErrCorrupt
 		}
 		l := &d.Threads[t]
@@ -251,7 +274,7 @@ func DecodeDelta(dec *wire.Decoder) (*Delta, error) {
 			if dec.Err() != nil {
 				return nil, dec.Err()
 			}
-			if nIn > 1<<20 {
+			if nIn > 1<<20 || nIn > uint64(dec.Remaining()/minEdgeBytes) {
 				return nil, wire.ErrCorrupt
 			}
 			var in []EventID
@@ -266,7 +289,7 @@ func DecodeDelta(dec *wire.Decoder) (*Delta, error) {
 	if dec.Err() != nil {
 		return nil, dec.Err()
 	}
-	if nReqs > 1<<28 {
+	if nReqs > 1<<28 || nReqs > uint64(dec.Remaining()/minReqBytes) {
 		return nil, wire.ErrCorrupt
 	}
 	var classes []uint32
@@ -275,7 +298,7 @@ func DecodeDelta(dec *wire.Decoder) (*Delta, error) {
 		if dec.Err() != nil {
 			return nil, dec.Err()
 		}
-		if nc > 1<<20 {
+		if nc > 1<<20 || nc > uint64(dec.Remaining()) {
 			return nil, wire.ErrCorrupt
 		}
 		classes = make([]uint32, nc)
@@ -301,11 +324,14 @@ func DecodeDelta(dec *wire.Decoder) (*Delta, error) {
 	if dec.Err() != nil {
 		return nil, dec.Err()
 	}
-	if nMarks > 1<<20 {
+	if nMarks > 1<<20 || nMarks > uint64(dec.Remaining()/minMarkBytes) {
 		return nil, wire.ErrCorrupt
 	}
 	for i := uint64(0); i < nMarks; i++ {
-		m := Mark{ID: dec.Uvarint(), Cut: decodeCut(dec)}
+		m := Mark{ID: dec.Uvarint()}
+		if m.Cut, err = decodeCut(dec); err != nil {
+			return nil, err
+		}
 		d.Marks = append(d.Marks, m)
 	}
 	return d, dec.Err()
